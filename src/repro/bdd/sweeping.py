@@ -14,19 +14,16 @@ loop, which makes the provers directly comparable (see
 
 from __future__ import annotations
 
-import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.aig.literals import CONST0
 from repro.aig.miter import build_miter, miter_is_trivially_unsat
 from repro.aig.network import Aig
-from repro.aig.transform import cleanup
 from repro.bdd.manager import ZERO, BddLimitExceeded, BddManager
-from repro.sat.sweeping import _po_disproof
-from repro.sweep.classes import SimulationState
 from repro.sweep.engine import CecResult, CecStatus
-from repro.sweep.reduction import reduce_miter
-from repro.sweep.report import EngineReport, PhaseRecord, PhaseTimer
+from repro.sweep.loop import Round, SweepLoop, _expired, adopt_state
+from repro.sweep.report import PhaseRecord
+from repro.sweep.state import SweepState
 
 
 class BddSweepChecker:
@@ -66,116 +63,45 @@ class BddSweepChecker:
 
     def check_miter(self, miter: Aig) -> CecResult:
         """Run BDD sweeping on a miter."""
-        start = time.perf_counter()
-        report = EngineReport(initial_ands=miter.num_ands)
-        record = PhaseRecord("BDDSWEEP")
-        miter = cleanup(miter)
-        deadline = (
-            start + self.time_limit if self.time_limit is not None else None
+        loop = SweepLoop("BDDSWEEP", miter, None, self.time_limit)
+        sweep = adopt_state(miter, None, self.num_random_words, self.seed)
+        return loop.run(
+            sweep, "bdd.sweep", self.max_rounds,
+            self._prove_round, self._prove_outputs,
         )
-        with PhaseTimer(record):
-            result = self._sweep(miter, record, deadline)
-        record.miter_ands_after = (
-            result.reduced_miter.num_ands if result.reduced_miter else 0
-        )
-        report.final_ands = record.miter_ands_after
-        report.phases.append(record)
-        report.total_seconds = time.perf_counter() - start
-        result.report = report
-        return result
 
     # ------------------------------------------------------------------
 
-    def _sweep(
-        self,
-        miter: Aig,
-        record: PhaseRecord,
-        deadline: Optional[float],
-    ) -> CecResult:
-        if miter_is_trivially_unsat(miter):
-            return CecResult(CecStatus.EQUIVALENT)
-        if any(po == 1 for po in miter.pos):
-            return CecResult(
-                CecStatus.NONEQUIVALENT, cex=[0] * miter.num_pis
-            )
-        state = SimulationState(
-            miter.num_pis, self.num_random_words, self.seed
-        )
-        for _ in range(self.max_rounds):
-            if _expired(deadline):
-                return CecResult(CecStatus.UNDECIDED, reduced_miter=miter)
-            tables = state.tables(miter)
-            disproof = _po_disproof(miter, state, tables)
-            if disproof is not None:
-                return disproof
-            classes = state.classes(miter, tables)
-            pairs = list(classes.all_pairs())
-            if not pairs:
-                break
-            record.candidates += len(pairs)
-            outcome = self._prove_round(miter, pairs, record, deadline)
-            if isinstance(outcome, CecResult):
-                return outcome
-            merges, cex_patterns, budget_hit = outcome
-            if cex_patterns:
-                state.add_cex_patterns(cex_patterns)
-            if merges:
-                miter, _ = reduce_miter(miter, merges)
-            if miter_is_trivially_unsat(miter):
-                return CecResult(CecStatus.EQUIVALENT)
-            if not merges and not cex_patterns:
-                break
-            if budget_hit and not merges:
-                break
-        return self._prove_outputs(miter, record)
-
     def _prove_round(
-        self,
-        miter: Aig,
-        pairs,
-        record: PhaseRecord,
-        deadline: Optional[float],
-    ):
+        self, sweep: SweepState, classes, pairs, deadline: Optional[float]
+    ) -> Round:
+        miter = sweep.network()
         manager = BddManager(node_limit=self.node_limit)
         node_bdds: Dict[int, int] = {0: ZERO}
-        merges: Dict[int, Tuple[int, int]] = {}
+        merges = {}
         cex_patterns: List[List[int]] = []
-        budget_hit = False
         for repr_node, node, phase in pairs:
             if _expired(deadline):
-                budget_hit = True
-                break
+                return Round(merges, cex_patterns, exhausted=True)
             try:
-                bdd_r = self._node_bdd(miter, manager, node_bdds, repr_node)
-                bdd_n = self._node_bdd(miter, manager, node_bdds, node)
-                if phase:
-                    bdd_n = manager.apply_not(bdd_n)
-                if bdd_r == bdd_n:
-                    merges[node] = (repr_node, phase)
-                    record.proved += 1
-                else:
-                    diff = manager.apply_xor(bdd_r, bdd_n)
-                    assignment = manager.any_sat(diff)
-                    assert assignment is not None
-                    cex_patterns.append(
-                        [assignment.get(i, 0) for i in range(miter.num_pis)]
-                    )
-                    record.cex += 1
+                pattern = bdd_pair_verdict(
+                    miter, manager, node_bdds, repr_node, node, phase
+                )
             except BddLimitExceeded:
-                budget_hit = True
-                break
-        return merges, cex_patterns, budget_hit
+                return Round(merges, cex_patterns, exhausted=True)
+            if pattern is None:
+                merges[node] = (repr_node, phase)
+            else:
+                cex_patterns.append(pattern)
+        return Round(merges, cex_patterns)
 
-    def _node_bdd(
+    def _prove_outputs(
         self,
-        miter: Aig,
-        manager: BddManager,
-        node_bdds: Dict[int, int],
-        node: int,
-    ) -> int:
-        return node_bdd(miter, manager, node_bdds, node)
-
-    def _prove_outputs(self, miter: Aig, record: PhaseRecord) -> CecResult:
+        sweep: SweepState,
+        deadline: Optional[float],
+        record: PhaseRecord,
+    ) -> CecResult:
+        miter = sweep.network()
         manager = BddManager(node_limit=self.node_limit)
         node_bdds: Dict[int, int] = {0: ZERO}
         new_pos = list(miter.pos)
@@ -184,7 +110,7 @@ class BddSweepChecker:
             if po == CONST0:
                 continue
             try:
-                bdd = self._node_bdd(miter, manager, node_bdds, po >> 1)
+                bdd = node_bdd(miter, manager, node_bdds, po >> 1)
             except BddLimitExceeded:
                 any_unknown = True
                 continue
@@ -192,25 +118,44 @@ class BddSweepChecker:
                 bdd = manager.apply_not(bdd)
             if bdd != ZERO:
                 assignment = manager.any_sat(bdd)
-                assert assignment is not None
                 return CecResult(
                     CecStatus.NONEQUIVALENT,
                     cex=[assignment.get(j, 0) for j in range(miter.num_pis)],
                 )
             new_pos[i] = CONST0
             record.proved += 1
-        reduced = cleanup(
-            Aig(
-                miter.num_pis,
-                miter.fanin_literals()[0],
-                miter.fanin_literals()[1],
-                new_pos,
-                name=miter.name,
-            )
-        )
+        reduced = sweep.set_pos(new_pos)
         if not any_unknown and miter_is_trivially_unsat(reduced):
             return CecResult(CecStatus.EQUIVALENT)
-        return CecResult(CecStatus.UNDECIDED, reduced_miter=reduced)
+        return CecResult(
+            CecStatus.UNDECIDED, reduced_miter=reduced, sim_state=sweep
+        )
+
+
+def bdd_pair_verdict(
+    miter: Aig,
+    manager: BddManager,
+    node_bdds: Dict[int, int],
+    repr_node: int,
+    node: int,
+    phase: int,
+) -> Optional[List[int]]:
+    """Compare a candidate pair's global BDDs.
+
+    Returns ``None`` when the BDDs are identical (canonicity proves the
+    pair), else a full PI pattern on which the pair differs.
+    :class:`~repro.bdd.manager.BddLimitExceeded` escapes to the caller
+    when the manager's node budget blows.  Shared by the BDD sweeper and
+    the scheduler's BDD lane.
+    """
+    bdd_r = node_bdd(miter, manager, node_bdds, repr_node)
+    bdd_n = node_bdd(miter, manager, node_bdds, node)
+    if phase:
+        bdd_n = manager.apply_not(bdd_n)
+    if bdd_r == bdd_n:
+        return None
+    assignment = manager.any_sat(manager.apply_xor(bdd_r, bdd_n))
+    return [assignment.get(i, 0) for i in range(miter.num_pis)]
 
 
 def node_bdd(
@@ -254,6 +199,3 @@ def node_bdd(
         stack.pop()
     return node_bdds[node]
 
-
-def _expired(deadline: Optional[float]) -> bool:
-    return deadline is not None and time.perf_counter() > deadline

@@ -504,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--cache-root", metavar="DIR", default=None,
         help="root directory for per-tenant knowledge caches "
-        "(omit for in-memory only)",
+        "(omit to run workers with no knowledge cache at all)",
     )
     serve.add_argument(
         "--shards", type=int, default=4,

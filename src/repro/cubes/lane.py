@@ -28,14 +28,16 @@ from __future__ import annotations
 
 import os
 import time
-from typing import List, Optional
+from typing import Optional
 
 from repro.aig.literals import CONST0, lit, lit_is_const, lit_var
 from repro.aig.transform import cone_aig
 from repro.obs import get_tracer
 from repro.sat.cnf import CnfBuilder
 from repro.sat.solver import SatSolver, SolveStatus
+from repro.sat.sweeping import prove_pos_batched, record_pair_verdict
 from repro.sweep.engine import CecResult, CecStatus
+from repro.sweep.loop import _expired
 
 from repro.cubes.runner import CubeOutcome, CubeRunner
 from repro.cubes.split import choose_split_pis, enumerate_cubes
@@ -76,6 +78,13 @@ def cube_workers(default: int = 3) -> int:
         return max(1, default)
 
 
+#: A race verdict as the solver status of the PO's difference query.
+_RACE_STATUS = {
+    "equivalent": SolveStatus.UNSAT,
+    "nonequivalent": SolveStatus.SAT,
+}
+
+
 def predicted_po_cost(level: int) -> float:
     """Static SAT-latency estimate of one final-PO proof (seconds)."""
     return SAT_SEED_BASE + SAT_SEED_PER_LEVEL * level
@@ -84,40 +93,34 @@ def predicted_po_cost(level: int) -> float:
 class CubeLane:
     """Per-pair cube splitting on the round's shared solver.
 
-    Splits each pair query on the miter's highest-fanout PIs: the
-    2^k cube solves each carry the pair selector plus the cube's PI
-    assumptions, so the shared CNF is reused across cubes *and* across
-    pairs exactly like the SAT batch lane.  Per-cube conflict budgets
+    Splits each pair query on the miter's ``DEFAULT_SPLIT_K``
+    highest-fanout PIs: the 2^k cube solves each carry the pair selector
+    plus the cube's PI assumptions, so the shared CNF is reused across
+    cubes *and* across pairs exactly like the SAT batch lane.  Per-cube conflict budgets
     divide the pair budget, keeping a routed pair's worst case
     comparable to the SAT lane's.
     """
 
     name = "cube"
 
-    def __init__(
-        self, config=None, conflict_budget: int = 1_000,
-        split_k: int = DEFAULT_SPLIT_K,
-    ) -> None:
+    def __init__(self, conflict_budget: int = 1_000) -> None:
         self.conflict_budget = conflict_budget
-        self.split_k = max(1, split_k)
 
     def budget_for(self, f) -> int:
         """Whole-pair conflict budget (split across the cubes)."""
         return int(self.conflict_budget * (1.0 + min(f.level, 96) / 48.0))
 
     def run(self, ctx, pairs, model):
-        from repro.sched.lanes import LaneOutcome, _expired
+        from repro.sched.lanes import LaneOutcome
 
         out = LaneOutcome()
         if not pairs:
             return out
         metrics = get_tracer().metrics
-        split_pis = choose_split_pis(ctx.miter, self.split_k)
-        cubes = enumerate_cubes(split_pis)
+        cubes = enumerate_cubes(choose_split_pis(ctx.miter, DEFAULT_SPLIT_K))
         metrics.counter_add("cubes.pairs", len(pairs))
         solver = SatSolver()
         cnf = CnfBuilder(ctx.miter, solver)
-        bound = ctx.bound
         for rp in pairs:
             if _expired(ctx.deadline):
                 out.unresolved.append(rp)
@@ -126,8 +129,9 @@ class CubeLane:
             start = time.perf_counter()
             metrics.counter_add("cubes.split", len(cubes))
             sel, sol_a, sol_b = cnf.open_pair_query(rp.lit_r, rp.lit_n)
-            verdict = "unsat"
-            pattern: Optional[List[int]] = None
+            # Every cube UNSAT proves the pair (the cubes are
+            # exhaustive); the first SAT or blown cube settles it.
+            status = SolveStatus.UNSAT
             for cube in cubes:
                 assumptions = [sel] + [
                     cnf.literal(lit(pi, 0 if value else 1))
@@ -138,37 +142,27 @@ class CubeLane:
                     conflict_limit=budget,
                     deadline=ctx.deadline,
                 )
-                if status is SolveStatus.SAT:
-                    verdict = "sat"
-                    pattern = cnf.pi_pattern_from_model()
-                    break
-                if status is SolveStatus.UNKNOWN:
-                    verdict = "unknown"
+                if status is not SolveStatus.UNSAT:
                     break
             cnf.retire_query(sel)
-            seconds = time.perf_counter() - start
-            if verdict == "unsat":
-                # Every cube refuted the difference and the cubes are
-                # exhaustive: the pair is proved.
+            pattern = None
+            if status is SolveStatus.UNSAT:
                 cnf.assert_equal(sol_a, sol_b)
+            elif status is SolveStatus.SAT:
+                pattern = cnf.pi_pattern_from_model()
+            seconds = time.perf_counter() - start
+            record_pair_verdict(
+                ctx.bound, rp.lit_r, rp.lit_n, status, pattern, seconds,
+                budget, ctx.deadline, context="SCHED", engine="cube",
+            )
+            resolved = status is not SolveStatus.UNKNOWN
+            model.record(self.name, rp.features, seconds, resolved=resolved)
+            if status is SolveStatus.UNSAT:
                 out.merges[rp.node] = (rp.repr_node, rp.phase)
-                model.record(self.name, rp.features, seconds, resolved=True)
-                if bound is not None:
-                    bound.record_equivalent(
-                        rp.lit_r, rp.lit_n, engine="cube", context="SCHED",
-                        seconds=seconds,
-                    )
-            elif verdict == "sat":
+            elif status is SolveStatus.SAT:
                 out.cex_patterns.append(pattern)
-                model.record(self.name, rp.features, seconds, resolved=True)
-                if bound is not None:
-                    bound.record_nonequivalent(
-                        rp.lit_r, rp.lit_n, pattern, engine="cube",
-                        context="SCHED", seconds=seconds,
-                    )
             else:
                 out.unresolved.append(rp)
-                model.record(self.name, rp.features, seconds, resolved=False)
         return out
 
 
@@ -185,7 +179,7 @@ def prove_pos_with_cubes(
 ) -> CecResult:
     """Final PO proof with the hard POs raced as cube fan-outs.
 
-    Drop-in replacement for :func:`~repro.sched.lanes.prove_pos_batched`
+    Drop-in replacement for :func:`~repro.sat.sweeping.prove_pos_batched`
     with identical verdict semantics: hard POs (predicted cost ≥
     ``threshold``) are settled by a :class:`CubeRunner` race over their
     single-PO cones, then everything still open falls through to the
@@ -193,20 +187,18 @@ def prove_pos_with_cubes(
     cache verdict at the full conflict limit, so a cache-backed run
     skips the doomed monolithic retry in the backstop.
     """
-    from repro.sched.lanes import _expired, prove_pos_batched
-
     if threshold is None:
         threshold = cube_threshold()
     miter = sweep.network()
-    if threshold is None:
-        return prove_pos_batched(sweep, cache, conflict_limit, deadline, record)
-    levels = miter.levels()
-    hard = [
-        i
-        for i, po in enumerate(miter.pos)
-        if not lit_is_const(po)
-        and predicted_po_cost(int(levels[lit_var(po)])) >= threshold
-    ]
+    hard = []
+    if threshold is not None:
+        levels = miter.levels()
+        hard = [
+            i
+            for i, po in enumerate(miter.pos)
+            if not lit_is_const(po)
+            and predicted_po_cost(int(levels[lit_var(po)])) >= threshold
+        ]
     if not hard:
         return prove_pos_batched(sweep, cache, conflict_limit, deadline, record)
 
@@ -253,27 +245,17 @@ def prove_pos_with_cubes(
                 )
             seconds = time.perf_counter() - po_start
             tracer.metrics.observe("cubes.po_seconds", seconds)
-            if outcome.status == "nonequivalent":
+            status = _RACE_STATUS.get(outcome.status, SolveStatus.UNKNOWN)
+            record_pair_verdict(
+                bound, po, CONST0, status, outcome.cex, seconds,
+                conflict_limit, deadline, context="PO", engine="cube",
+            )
+            if status is SolveStatus.SAT:
                 record.cex += 1
-                if bound is not None:
-                    bound.record_nonequivalent(
-                        po, CONST0, outcome.cex, engine="cube",
-                        context="PO", seconds=seconds,
-                    )
                 return CecResult(CecStatus.NONEQUIVALENT, cex=outcome.cex)
-            if outcome.status == "equivalent":
+            if status is SolveStatus.UNSAT:
                 new_pos[i] = CONST0
                 record.proved += 1
-                if bound is not None:
-                    bound.record_equivalent(
-                        po, CONST0, engine="cube", context="PO",
-                        seconds=seconds,
-                    )
-            elif bound is not None and not _expired(deadline):
-                bound.record_inconclusive(
-                    po, CONST0, engine="cube", context="PO",
-                    conflict_limit=conflict_limit, seconds=seconds,
-                )
     finally:
         if owns_runner:
             runner.close()

@@ -22,6 +22,8 @@ counters ``tools/check_trace.py --require-cubes`` gates CI on.
 
 from __future__ import annotations
 
+import multiprocessing as mp
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
@@ -36,6 +38,7 @@ from repro.shm import SegmentDescriptor, adopt_aig
 from repro.cubes.split import Cube, cofactor, patch_pattern
 from repro.exec import (
     REASON_TIMEOUT,
+    START_METHOD_ENV,
     CancelGroup,
     ExecRuntime,
     JobBoard,
@@ -160,6 +163,13 @@ class CubeRunner:
     alive across :meth:`solve` calls (consecutive hard POs of one
     residue reuse the warm pool); :meth:`close` tears everything down
     leak-free.  Usable as a context manager.
+
+    Workers start with ``forkserver`` where the platform has it and
+    ``spawn`` otherwise, never by forking the caller: a race is often
+    started from a process with live threads (a test runner, the bench
+    harness), and a forked child can inherit a lock one of those threads
+    held and block on it forever.  An explicit ``start_method`` or
+    ``REPRO_MP_START_METHOD`` still wins.
     """
 
     def __init__(
@@ -171,6 +181,12 @@ class CubeRunner:
         terminate_grace: float = 1.0,
     ) -> None:
         self.num_workers = max(1, num_workers)
+        if start_method is None and not os.environ.get(START_METHOD_ENV):
+            start_method = (
+                "forkserver"
+                if "forkserver" in mp.get_all_start_methods()
+                else "spawn"
+            )
         self._start_method = start_method
         self._use_shm = use_shm
         self._trace = trace

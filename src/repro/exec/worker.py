@@ -7,7 +7,10 @@ spawns, in two modes:
   portfolio engine).  A SIGTERM from the parent's staged termination is
   converted into :class:`WorkerTerminated` (traced runs only), so even a
   cancelled loser posts its partial span timeline during the
-  terminate-grace window.  Every exit path posts exactly one message.
+  terminate-grace window.  SIGTERM is held from the child's first line
+  until the job's ``worker.job`` span is open, so a loser cancelled
+  while still setting up ships that span too.  Every exit path posts
+  exactly one message.
 - ``"loop"`` — stay resident, pulling jobs off an inbox queue until the
   ``None`` sentinel (warm serve and cube workers).  Per-job failures are
   reported and survived; a flight recorder ships job milestones
@@ -35,6 +38,7 @@ from repro.obs import (
     FlightRecorderHandler,
     Tracer,
     get_logger,
+    get_tracer,
     set_tracer,
 )
 from repro.shm import SegmentRegistry, set_active_registry, shm_available
@@ -52,6 +56,14 @@ class WorkerTerminated(BaseException):
 
 def _raise_worker_terminated(signum, frame) -> None:
     raise WorkerTerminated()
+
+
+def _hold_sigterm(hold: bool) -> None:
+    """Block (or release) SIGTERM in this thread; a SIGTERM that lands
+    while blocked stays pending and is delivered on release."""
+    if hasattr(signal, "pthread_sigmask"):
+        how = signal.SIG_BLOCK if hold else signal.SIG_UNBLOCK
+        signal.pthread_sigmask(how, {signal.SIGTERM})
 
 
 class WorkerContext:
@@ -118,6 +130,8 @@ def exec_worker_main(
     ``flight_capacity`` (loop mode: per-worker flight recorder).
     """
     tracer: Optional[Tracer] = None
+    if mode == "oneshot" and cfg.get("trace"):
+        _hold_sigterm(True)  # released by _run_oneshot inside its span
     if cfg.get("trace"):
         tracer = Tracer(
             process_name=cfg.get("trace_name") or f"worker:{index}"
@@ -141,6 +155,7 @@ def exec_worker_main(
             # flushes queue feeder threads at exit must not re-raise
             # WorkerTerminated inside the finalizers.
             signal.signal(signal.SIGTERM, signal.SIG_DFL)
+            _hold_sigterm(False)
         except (ValueError, OSError):
             pass
 
@@ -158,7 +173,9 @@ def _run_oneshot(
             pass  # non-main thread or unsupported platform: spans on
             # normal completion still ship, cancelled ones are lost
     try:
-        message = handler(payload, ctx)
+        with get_tracer().span("worker.job", category="worker"):
+            _hold_sigterm(False)
+            message = handler(payload, ctx)
         sideband = message.pop("_sideband", {})
     except WorkerTerminated:
         message = {"status": "terminated"}

@@ -18,45 +18,58 @@ limit.  A bad cost model costs time, never the verdict.
 
 from __future__ import annotations
 
+import dataclasses
 import time
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 from repro.aig.literals import lit
-from repro.aig.miter import build_miter, miter_is_trivially_unsat
+from repro.aig.miter import build_miter
 from repro.aig.network import Aig
-from repro.aig.transform import cleanup
 from repro.cache.knowledge import SweepCache
 from repro.cubes.lane import CubeLane, prove_pos_with_cubes
 from repro.obs import get_tracer
-from repro.sat.sweeping import _po_disproof
 from repro.sched.cost import LANES, CostModel
 from repro.sched.features import FeatureExtractor
 from repro.sched.lanes import (
     BddLane,
     CutLane,
-    LaneOutcome,
     RoundContext,
     RoutedPair,
     SatBatchLane,
     SimLane,
-    _expired,
-    prove_pos_batched,
 )
 from repro.simulation.exhaustive import ExhaustiveSimulator
 from repro.sweep.classes import SimulationState
 from repro.sweep.config import EngineConfig
-from repro.sweep.engine import CecResult, CecStatus
-from repro.sweep.report import EngineReport, PhaseRecord, PhaseTimer
+from repro.sweep.engine import CecResult
+from repro.sweep.loop import Round, SweepLoop, adopt_state
 from repro.sweep.state import SweepState
+
+#: Sweep/refine rounds before the final PO proof.
+MAX_ROUNDS = 16
+
+#: Node budget of the BDD lane's per-batch manager.
+BDD_NODE_LIMIT = 50_000
+
+#: Pairs routed per chunk: lane feedback from early chunks steers the
+#: routing of later ones.
+CHUNK_SIZE = 64
+
+#: Wall-clock slice the in-round SAT batch may spend per round.  Small
+#: on purpose: merges from the cheap lanes shrink supports between
+#: rounds, turning SAT-only pairs into sim/cut/BDD pairs — solving them
+#: *now* at seconds each would buy nothing.
+SAT_ROUND_SECONDS = 1.0
 
 
 class AdaptiveSweeper:
     """Cost-model-dispatched sweeping over a (residual) miter.
 
     Drop-in peer of :class:`~repro.sat.sweeping.SatSweepChecker`: same
-    ``check_miter(miter, state)`` contract, same state-adoption rules,
-    same UNDECIDED hand-back shape — but each candidate pair goes to
-    whichever engine the cost model predicts is cheapest for it.
+    ``check_miter(miter, state)`` contract, same state adoption and
+    round loop (:mod:`repro.sweep.loop`), same UNDECIDED hand-back
+    shape — but each candidate pair goes to whichever engine the cost
+    model predicts is cheapest for it.
 
     Parameters
     ----------
@@ -78,17 +91,12 @@ class AdaptiveSweeper:
         config: Optional[EngineConfig] = None,
         conflict_limit: int = 100_000,
         time_limit: Optional[float] = None,
-        max_rounds: int = 16,
         cache: Optional[SweepCache] = None,
         cost_model: Optional[CostModel] = None,
-        bdd_node_limit: int = 50_000,
-        chunk_size: int = 64,
-        sat_round_seconds: float = 1.0,
     ) -> None:
         self.config = config if config is not None else EngineConfig()
         self.conflict_limit = conflict_limit
         self.time_limit = time_limit
-        self.max_rounds = max_rounds
         self.cache = cache
         self.model = (
             cost_model
@@ -101,21 +109,12 @@ class AdaptiveSweeper:
         self.lanes = {
             "sim": SimLane(self.config),
             "cut": CutLane(self.config),
-            "bdd": BddLane(node_limit=bdd_node_limit),
-            "cube": CubeLane(
-                self.config,
-                conflict_budget=max(200, conflict_limit // 100),
-            ),
+            "bdd": BddLane(node_limit=BDD_NODE_LIMIT),
+            "cube": CubeLane(conflict_budget=max(200, conflict_limit // 100)),
             "sat": SatBatchLane(
                 conflict_budget=max(200, conflict_limit // 100)
             ),
         }
-        self.chunk_size = max(1, chunk_size)
-        #: Wall-clock slice the in-round SAT batch may spend per round.
-        #: Small on purpose: merges from the cheap lanes shrink supports
-        #: between rounds, turning SAT-only pairs into sim/cut/BDD pairs
-        #: — solving them *now* at seconds each would buy nothing.
-        self.sat_round_seconds = sat_round_seconds
         #: Full-budget drain for stalled rounds (the fixed pipeline's
         #: SAT sweep, paid only when every cheaper avenue is dry).
         self._drain_lane = SatBatchLane(conflict_budget=conflict_limit)
@@ -139,15 +138,12 @@ class AdaptiveSweeper:
         (signatures, classes and cache fingerprints carried in place), a
         pattern pool is adopted into a fresh state.
         """
-        start = time.perf_counter()
-        report = EngineReport(initial_ands=miter.num_ands)
-        record = PhaseRecord("SCHED")
-        sweep = self._adopt_state(miter, state)
-        cache_snapshot = (
-            self.cache.snapshot() if self.cache is not None else None
+        loop = SweepLoop("SCHED", miter, self.cache, self.time_limit)
+        sweep = adopt_state(
+            miter, state, self.config.num_random_words, self.config.seed,
+            counter="sched",
         )
-        tracer = get_tracer()
-        metrics = tracer.metrics
+        metrics = get_tracer().metrics
         # Pre-register the dispatch counters so a traced run exports
         # every lane (and the misprediction count) even when zero.
         for lane in LANES:
@@ -155,221 +151,121 @@ class AdaptiveSweeper:
         metrics.counter_add("sched.mispredict", 0)
         metrics.counter_add("sat.batch.pairs", 0)
         metrics.counter_add("sat.batch.solves", 0)
-
-        def finish(result: CecResult) -> CecResult:
-            record.miter_ands_after = (
-                result.reduced_miter.num_ands if result.reduced_miter else 0
-            )
-            report.final_ands = record.miter_ands_after
-            report.phases.append(record)
-            report.total_seconds = time.perf_counter() - start
-            if self.cache is not None:
-                self.cache.flush()
-                report.cache = self.cache.counters.diff(cache_snapshot)
-            if tracer.enabled:
-                report.metrics = tracer.metrics.as_dict()
-            result.report = report
-            return result
-
-        deadline = (
-            start + self.time_limit if self.time_limit is not None else None
+        # With the cube knob on, predicted-hard POs of the final proof
+        # are raced as distributed cofactor fan-outs first (the cube
+        # lane's out-of-process half); the batched backstop always
+        # concludes.
+        return loop.run(
+            sweep, "sched.check_miter", MAX_ROUNDS, self._prove_round,
+            lambda sweep, deadline, record: prove_pos_with_cubes(
+                sweep, self.cache, self.conflict_limit, deadline, record
+            ),
         )
-        with tracer.span(
-            "sched.check_miter",
-            category="sched",
-            initial_ands=sweep.network().num_ands,
-        ), PhaseTimer(record):
-            result = self._sweep(sweep, record, deadline)
-        return finish(result)
 
     # ------------------------------------------------------------------
 
-    def _adopt_state(
-        self,
-        miter: Aig,
-        state: Optional[Union[SimulationState, SweepState]],
-    ) -> SweepState:
-        if isinstance(state, SweepState) and state.matches(miter):
-            metrics = get_tracer().metrics
-            metrics.counter_add("sched.state_adopted")
-            return state
-        sweep = SweepState(
-            cleanup(miter),
-            num_random_words=self.config.num_random_words,
-            seed=self.config.seed,
-        )
-        if state is not None and state.num_pis == sweep.num_pis:
-            pool = state.pool() if isinstance(state, SweepState) else state
-            sweep.adopt_pool(pool)
-        return sweep
-
-    # ------------------------------------------------------------------
-
-    def _sweep(
-        self,
-        sweep: SweepState,
-        record: PhaseRecord,
-        deadline: Optional[float],
-    ) -> CecResult:
-        miter = sweep.network()
-        if miter_is_trivially_unsat(miter):
-            return CecResult(CecStatus.EQUIVALENT)
-        if any(po == 1 for po in miter.pos):
-            return CecResult(CecStatus.NONEQUIVALENT, cex=[0] * miter.num_pis)
-
-        metrics = get_tracer().metrics
+    def _prove_round(
+        self, sweep: SweepState, classes, pairs, deadline: Optional[float]
+    ) -> Round:
+        tracer = get_tracer()
+        metrics = tracer.metrics
         model = self.model
-        for _ in range(self.max_rounds):
-            miter = sweep.network()
-            if _expired(deadline):
-                return CecResult(
-                    CecStatus.UNDECIDED, reduced_miter=miter, sim_state=sweep
-                )
-            tables = sweep.tables()
-            disproof = _po_disproof(miter, sweep, tables)
-            if disproof is not None:
-                return disproof
-            classes = sweep.classes(tables=tables)
-            pairs = [
-                (r, n, phase)
-                for r, n, phase in classes.all_pairs()
-                if miter.is_and(n) or miter.is_pi(n)
-            ]
-            if not pairs:
-                break
-            record.candidates += len(pairs)
-            bound = sweep.bound_cache(self.cache)
-            extractor = FeatureExtractor(
-                sweep, cap=max(self.config.k_g, model.bdd_cap)
-            )
-            class_sizes = extractor.class_sizes(classes)
-            merges: Dict[int, Tuple[int, int]] = {}
-            cex_patterns: List[List[int]] = []
-            ctx = RoundContext(
-                state=sweep,
-                miter=miter,
-                simulator=self.simulator,
-                bound=bound,
-                deadline=deadline,
-            )
-            tracer = get_tracer()
-            # Route in chunks: lane feedback from early chunks steers
-            # the routing of later ones, so a cold model recovers from a
-            # bad seed *within* the first round instead of after it.
-            # SAT reroutes accumulate across chunks and solve as one
-            # batch on a single shared solver at the end of the round.
-            sat_pending: List[RoutedPair] = []
-            for chunk_start in range(0, len(pairs), self.chunk_size):
-                chunk = pairs[chunk_start:chunk_start + self.chunk_size]
-                routed: Dict[str, List[RoutedPair]] = {
-                    lane: [] for lane in LANES
-                }
-                for repr_node, node, phase in chunk:
-                    # Cache-hit fingerprint: a cached verdict is the
-                    # cheapest lane of all — short-circuit before
-                    # scoring anything.
-                    if bound is not None:
-                        known = bound.lookup_pair(
-                            lit(repr_node), lit(node, phase),
-                            want_inconclusive=False,
-                        )
-                        if known is not None:
-                            if known.is_equivalent:
-                                merges[node] = (repr_node, phase)
-                                continue
-                            if known.is_nonequivalent:
-                                cex_patterns.append(known.cex)
-                                continue
-                    features = extractor.pair(
-                        repr_node, node, class_sizes.get(node, 2)
-                    )
-                    lane = model.choose(features)
-                    metrics.counter_add(f"sched.dispatch.{lane}")
-                    routed[lane].append(
-                        RoutedPair(repr_node, node, phase, features)
-                    )
-                for lane_name in ("sim", "cut", "bdd", "cube"):
-                    lane_pairs = routed[lane_name]
-                    if not lane_pairs:
-                        continue
-                    with tracer.span(
-                        f"sched.lane.{lane_name}",
-                        category="sched",
-                        pairs=len(lane_pairs),
-                    ):
-                        outcome = self.lanes[lane_name].run(
-                            ctx, lane_pairs, model
-                        )
-                    merges.update(outcome.merges)
-                    cex_patterns.extend(outcome.cex_patterns)
-                    # Everything a lane could not settle falls through
-                    # to the batched SAT backstop of the same round.
-                    sat_pending.extend(outcome.unresolved)
-                sat_pending.extend(routed["sat"])
-            sat_unresolved: List[RoutedPair] = []
-            if sat_pending:
-                # Shallow cones first (they UNSAT in milliseconds), and
-                # only a bounded wall-clock slice: anything the slice
-                # cannot settle stays in its class — the next round's
-                # merges may shrink it into a cheap lane's reach.
-                sat_pending.sort(key=lambda rp: rp.features.level)
-                slice_deadline = time.perf_counter() + self.sat_round_seconds
-                if deadline is not None:
-                    slice_deadline = min(slice_deadline, deadline)
-                sat_ctx = RoundContext(
-                    state=sweep,
-                    miter=miter,
-                    simulator=self.simulator,
-                    bound=bound,
-                    deadline=slice_deadline,
-                )
-                with tracer.span(
-                    "sched.lane.sat", category="sched",
-                    pairs=len(sat_pending),
-                ):
-                    outcome = self.lanes["sat"].run(
-                        sat_ctx, sat_pending, model
-                    )
-                merges.update(outcome.merges)
-                cex_patterns.extend(outcome.cex_patterns)
-                sat_unresolved = outcome.unresolved
-            record.proved += len(merges)
-            record.cex += len(cex_patterns)
-            self.rounds += 1
-            if not merges and not cex_patterns and sat_unresolved:
-                # Stalled: the cheap lanes are dry and the SAT slice
-                # settled nothing.  Pay the fixed pipeline's price once
-                # — a full-budget batched sweep over the survivors —
-                # under the overall deadline only.
-                with tracer.span(
-                    "sched.lane.sat_drain", category="sched",
-                    pairs=len(sat_unresolved),
-                ):
-                    outcome = self._drain_lane.run(
-                        ctx, sat_unresolved, model
-                    )
-                merges.update(outcome.merges)
-                cex_patterns.extend(outcome.cex_patterns)
-                record.proved += len(outcome.merges)
-                record.cex += len(outcome.cex_patterns)
-            if cex_patterns:
-                sweep.add_cex_patterns(cex_patterns)
-            if merges:
-                sweep.apply_merges(merges)
-            if miter_is_trivially_unsat(sweep.network()):
-                return CecResult(CecStatus.EQUIVALENT)
-            if _expired(deadline):
-                return CecResult(
-                    CecStatus.UNDECIDED,
-                    reduced_miter=sweep.network(),
-                    sim_state=sweep,
-                )
-            if not merges and not cex_patterns:
-                break
-
-        # Final PO proof.  With the cube knob on, predicted-hard POs are
-        # raced as distributed cofactor fan-outs first (the fifth lane's
-        # out-of-process half); the batched backstop always concludes.
-        return prove_pos_with_cubes(
-            sweep, self.cache, self.conflict_limit, deadline, record
+        bound = sweep.bound_cache(self.cache)
+        extractor = FeatureExtractor(
+            sweep, cap=max(self.config.k_g, model.bdd_cap)
         )
+        class_sizes = extractor.class_sizes(classes)
+        merges = {}
+        cex_patterns: List[List[int]] = []
+        ctx = RoundContext(
+            miter=sweep.network(),
+            simulator=self.simulator,
+            bound=bound,
+            deadline=deadline,
+        )
+        # Route in chunks: lane feedback from early chunks steers the
+        # routing of later ones, so a cold model recovers from a bad
+        # seed *within* the first round instead of after it.  SAT
+        # reroutes accumulate across chunks and solve as one batch on a
+        # single shared solver at the end of the round.
+        sat_pending: List[RoutedPair] = []
+        for chunk_start in range(0, len(pairs), CHUNK_SIZE):
+            chunk = pairs[chunk_start:chunk_start + CHUNK_SIZE]
+            routed: Dict[str, List[RoutedPair]] = {lane: [] for lane in LANES}
+            for repr_node, node, phase in chunk:
+                # Cache-hit fingerprint: a cached verdict is the
+                # cheapest lane of all — short-circuit before scoring
+                # anything.
+                if bound is not None:
+                    known = bound.lookup_pair(
+                        lit(repr_node), lit(node, phase),
+                        want_inconclusive=False,
+                    )
+                    if known is not None:
+                        if known.is_equivalent:
+                            merges[node] = (repr_node, phase)
+                            continue
+                        if known.is_nonequivalent:
+                            cex_patterns.append(known.cex)
+                            continue
+                features = extractor.pair(
+                    repr_node, node, class_sizes.get(node, 2)
+                )
+                lane = model.choose(features)
+                metrics.counter_add(f"sched.dispatch.{lane}")
+                routed[lane].append(
+                    RoutedPair(repr_node, node, phase, features)
+                )
+            for lane_name in ("sim", "cut", "bdd", "cube"):
+                lane_pairs = routed[lane_name]
+                if not lane_pairs:
+                    continue
+                with tracer.span(
+                    f"sched.lane.{lane_name}",
+                    category="sched",
+                    pairs=len(lane_pairs),
+                ):
+                    outcome = self.lanes[lane_name].run(
+                        ctx, lane_pairs, model
+                    )
+                merges.update(outcome.merges)
+                cex_patterns.extend(outcome.cex_patterns)
+                # Everything a lane could not settle falls through to
+                # the batched SAT backstop of the same round.
+                sat_pending.extend(outcome.unresolved)
+            sat_pending.extend(routed["sat"])
+        sat_unresolved: List[RoutedPair] = []
+        if sat_pending:
+            # Shallow cones first (they UNSAT in milliseconds), and only
+            # a bounded wall-clock slice: anything the slice cannot
+            # settle stays in its class — the next round's merges may
+            # shrink it into a cheap lane's reach.
+            sat_pending.sort(key=lambda rp: rp.features.level)
+            slice_deadline = time.perf_counter() + SAT_ROUND_SECONDS
+            if deadline is not None:
+                slice_deadline = min(slice_deadline, deadline)
+            with tracer.span(
+                "sched.lane.sat", category="sched", pairs=len(sat_pending),
+            ):
+                outcome = self.lanes["sat"].run(
+                    dataclasses.replace(ctx, deadline=slice_deadline),
+                    sat_pending,
+                    model,
+                )
+            merges.update(outcome.merges)
+            cex_patterns.extend(outcome.cex_patterns)
+            sat_unresolved = outcome.unresolved
+        self.rounds += 1
+        if not merges and not cex_patterns and sat_unresolved:
+            # Stalled: the cheap lanes are dry and the SAT slice settled
+            # nothing.  Pay the fixed pipeline's price once — a
+            # full-budget batched sweep over the survivors — under the
+            # overall deadline only.
+            with tracer.span(
+                "sched.lane.sat_drain", category="sched",
+                pairs=len(sat_unresolved),
+            ):
+                outcome = self._drain_lane.run(ctx, sat_unresolved, model)
+            merges.update(outcome.merges)
+            cex_patterns.extend(outcome.cex_patterns)
+        return Round(merges, cex_patterns)

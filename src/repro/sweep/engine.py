@@ -28,16 +28,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple, Union
 
-import numpy as np
-
 from repro.aig.literals import CONST0, lit
 from repro.aig.miter import build_miter, miter_is_trivially_unsat
 from repro.aig.network import Aig
 from repro.aig.transform import cleanup
-from repro.aig.traversal import collect_cone, supports_capped
-from repro.cache.knowledge import BoundCache, SweepCache
-from repro.cuts.common import CommonCutBuffer, common_cuts
-from repro.cuts.enumeration import CutEnumerator
+from repro.aig.traversal import supports_capped
+from repro.cache.knowledge import SweepCache
 from repro.cuts.selection import CutSelector
 from repro.obs import get_tracer
 from repro.simulation.exhaustive import (
@@ -45,14 +41,11 @@ from repro.simulation.exhaustive import (
     PairStatus,
 )
 from repro.simulation.merging import merge_windows
-from repro.simulation.window import (
-    Pair,
-    Window,
-    build_pair_window,
-    build_window,
-)
+from repro.simulation.window import Pair, Window, build_window
 from repro.sweep.classes import SharedPool, SimulationState
 from repro.sweep.config import EngineConfig
+from repro.sweep.disproof import find_po_disproof
+from repro.sweep.provers import cut_pass, prove_full_support
 from repro.sweep.state import SweepState
 from repro.sweep.report import (
     EngineReport,
@@ -218,109 +211,71 @@ class SimSweepEngine:
             result.report = report
             return result
 
-        verdict = self._structural_verdict(state.network())
-        if verdict is not None:
-            return finish(verdict)
-
-        # ---- P phase -------------------------------------------------
-        record = PhaseRecord("P")
-        with tracer.span("phase.P", category="phase") as span, PhaseTimer(
-            record
-        ):
-            outcome = self._po_phase(state, simulator, record)
-            span.set("candidates", record.candidates)
-            span.set("proved", record.proved)
-        if isinstance(outcome, CecResult):
-            note(record)
-            return finish(outcome)
-        record.miter_ands_after = state.network().num_ands
-        note(record)
-        if miter_is_trivially_unsat(state.network()):
-            return finish(CecResult(CecStatus.EQUIVALENT))
-        if stop_after == "P":
-            # Carry the state: the adaptive scheduler (and the Fig. 7
-            # experiment's downstream engines) resume from the P-phase
-            # pool and classes instead of re-simulating.
-            return finish(
-                CecResult(
-                    CecStatus.UNDECIDED,
-                    reduced_miter=state.network(),
-                    sim_state=state,
-                )
-            )
-
-        # ---- G phase -------------------------------------------------
-        record = PhaseRecord("G")
-        with tracer.span("phase.G", category="phase") as span, PhaseTimer(
-            record
-        ):
-            outcome = self._global_phase(state, simulator, record)
-            span.set("candidates", record.candidates)
-            span.set("proved", record.proved)
-        if isinstance(outcome, CecResult):
-            note(record)
-            return finish(outcome)
-        record.miter_ands_after = state.network().num_ands
-        note(record)
-        if miter_is_trivially_unsat(state.network()):
-            return finish(CecResult(CecStatus.EQUIVALENT))
-        if stop_after == "PG":
-            return finish(
-                CecResult(
-                    CecStatus.UNDECIDED,
-                    reduced_miter=state.network(),
-                    sim_state=state,
-                )
-            )
-
-        # ---- repeated L phases ----------------------------------------
-        disabled_passes: Set[int] = set()
-        for phase_index in range(self.config.max_local_phases):
-            record = PhaseRecord("L")
+        def run_phase(kind: str, body, **span_args):
+            """Run one phase; returns ``(verdict, outcome)`` where the
+            verdict, if any, ends the flow."""
+            record = PhaseRecord(kind)
             with tracer.span(
-                "phase.L", category="phase", round=phase_index
+                f"phase.{kind}", category="phase", **span_args
             ) as span, PhaseTimer(record):
-                outcome, progressed = self._local_phase(
-                    state, simulator, record, disabled_passes
-                )
+                outcome = body(record)
                 span.set("candidates", record.candidates)
                 span.set("proved", record.proved)
             if isinstance(outcome, CecResult):
                 note(record)
-                return finish(outcome)
+                return outcome, outcome
             record.miter_ands_after = state.network().num_ands
             note(record)
             if miter_is_trivially_unsat(state.network()):
-                return finish(CecResult(CecStatus.EQUIVALENT))
-            if not progressed:
-                break
-            if self.config.interleave_rewriting:
-                # §V extension: restructure the reduced miter so the next
-                # local phase enumerates genuinely new cuts.
-                from repro.synth.rewrite import cut_rewrite
+                return CecResult(CecStatus.EQUIVALENT), outcome
+            return None, outcome
 
-                state.replace_network(cut_rewrite(state.network(), k=4))
+        verdict = structural_verdict(state.network())
+        # ---- P phase -------------------------------------------------
+        if verdict is None:
+            verdict, _ = run_phase(
+                "P", lambda record: self._po_phase(state, simulator, record)
+            )
+        # ---- G phase -------------------------------------------------
+        if verdict is None and stop_after != "P":
+            verdict, _ = run_phase(
+                "G",
+                lambda record: self._global_phase(state, simulator, record),
+            )
+        # ---- repeated L phases ----------------------------------------
+        if verdict is None and stop_after not in ("P", "PG"):
+            disabled_passes: Set[int] = set()
+            for phase_index in range(self.config.max_local_phases):
+                verdict, progressed = run_phase(
+                    "L",
+                    lambda record: self._local_phase(
+                        state, simulator, record, disabled_passes
+                    ),
+                    round=phase_index,
+                )
+                if verdict is not None or not progressed:
+                    break
+                if self.config.interleave_rewriting:
+                    # §V extension: restructure the reduced miter so the
+                    # next local phase enumerates genuinely new cuts.
+                    from repro.synth.rewrite import cut_rewrite
 
-        return finish(
-            CecResult(
+                    state.replace_network(cut_rewrite(state.network(), k=4))
+
+        if verdict is None:
+            # Carry the state: the adaptive scheduler (and the Fig. 7
+            # experiment's downstream engines) resume from the P-phase
+            # pool and classes instead of re-simulating.
+            verdict = CecResult(
                 CecStatus.UNDECIDED,
                 reduced_miter=state.network(),
                 sim_state=state,
             )
-        )
+        return finish(verdict)
 
     # ------------------------------------------------------------------
     # Phases
     # ------------------------------------------------------------------
-
-    def _structural_verdict(self, miter: Aig) -> Optional[CecResult]:
-        """Verdicts available before any simulation."""
-        if miter_is_trivially_unsat(miter):
-            return CecResult(CecStatus.EQUIVALENT)
-        if any(po == 1 for po in miter.pos):
-            # A constant-true PO is satisfied by every pattern.
-            return CecResult(CecStatus.NONEQUIVALENT, cex=[0] * miter.num_pis)
-        return None
 
     def _po_phase(
         self,
@@ -427,17 +382,16 @@ class SimSweepEngine:
         """
         cfg = self.config
         miter = state.network()
-        tables = state.tables()
-        disproof = self._po_disproof(miter, state, tables)
+        disproof = po_disproof(state)
         if disproof is not None:
             return disproof, False
-        classes = state.classes(tables=tables)
+        classes = state.classes()
         if len(classes) == 0:
             return None, False
         span.set("classes", len(classes))
         bound = state.bound_cache(self.cache)
         support_sets = supports_capped(miter, cfg.k_g)
-        windows: List[Window] = []
+        candidates = []
         merges: Dict[int, Tuple[int, int]] = {}
         cex_patterns: List[List[int]] = []
         for repr_node, node, phase in classes.all_pairs():
@@ -463,46 +417,19 @@ class SimSweepEngine:
             if len(union) > cfg.k_g:
                 continue
             record.candidates += 1
-            windows.append(
-                build_pair_window(
-                    miter,
-                    sorted(union),
-                    lit(repr_node),
-                    lit(node, phase),
-                    node,
-                )
-            )
-        if not windows and not merges and not cex_patterns:
+            candidates.append((repr_node, node, phase, union))
+        if not candidates and not merges and not cex_patterns:
             return None, False
-        if windows:
-            if cfg.window_merging:
-                windows = merge_windows(
-                    miter, windows, cfg.k_s_for(cfg.k_g)
-                )
-            outcomes = simulator.run(
-                miter, windows, collect_cex=True, skip_oversized=True
-            )
-        else:
-            outcomes = []
-        for outcome in outcomes:
-            node = outcome.pair.tag
-            if outcome.status is PairStatus.EQUAL:
-                target = outcome.pair.lit_a
-                phase = (outcome.pair.lit_a ^ outcome.pair.lit_b) & 1
-                merges[node] = (target >> 1, phase)
-                if bound is not None:
-                    bound.record_equivalent(
-                        outcome.pair.lit_a, outcome.pair.lit_b,
-                        context="G",
-                    )
-            else:
-                pattern = outcome.cex.to_pi_pattern(miter.num_pis)
-                cex_patterns.append(pattern)
-                if bound is not None:
-                    bound.record_nonequivalent(
-                        outcome.pair.lit_a, outcome.pair.lit_b,
-                        pattern, context="G",
-                    )
+        verdicts = prove_full_support(
+            miter,
+            simulator,
+            candidates,
+            bound,
+            "G",
+            merge_k_s=cfg.k_s_for(cfg.k_g) if cfg.window_merging else None,
+        )
+        merges.update(verdicts.merges)
+        cex_patterns.extend(verdicts.cex.values())
         record.proved += len(merges)
         record.cex += len(cex_patterns)
         span.set("proved", len(merges))
@@ -525,16 +452,17 @@ class SimSweepEngine:
         simulator: ExhaustiveSimulator,
         record: PhaseRecord,
         disabled_passes: Set[int],
-    ) -> Tuple[Optional[CecResult], bool]:
+    ) -> Union[CecResult, bool]:
+        """One cut-based local checking phase; returns a verdict, or
+        whether it made progress (merged something)."""
         cfg = self.config
         miter = state.network()
-        tables = state.tables()
-        disproof = self._po_disproof(miter, state, tables)
+        disproof = po_disproof(state)
         if disproof is not None:
-            return disproof, False
-        classes = state.classes(tables=tables)
+            return disproof
+        classes = state.classes()
         if len(classes) == 0:
-            return None, False
+            return False
         bound = state.bound_cache(self.cache)
         pair_info: Dict[int, Tuple[int, int]] = {}
         repr_of: Dict[int, int] = {}
@@ -569,21 +497,29 @@ class SimSweepEngine:
                     cached_patterns, distance1=cfg.distance1_cex
                 )
 
+        tracer = get_tracer()
         for pass_id in cfg.passes:
             if pass_id in disabled_passes:
                 continue
             proved_before = len(merges)
-            self._run_cut_pass(
-                miter,
-                simulator,
-                pass_id,
-                fanout_counts,
-                levels,
-                repr_of,
-                pair_info,
-                merges,
-                bound,
+            selector = CutSelector(
+                pass_id, fanout_counts, levels, cfg.similarity_selection
             )
+            with tracer.span(
+                "cuts.pass", category="cuts", pass_id=pass_id
+            ) as pass_span:
+                expansions = cut_pass(
+                    miter,
+                    simulator,
+                    selector,
+                    cfg,
+                    repr_of,
+                    pair_info,
+                    merges,
+                    bound,
+                    "L",
+                )
+                pass_span.set("expansions", expansions)
             proved_by_pass[pass_id] = len(merges) - proved_before
 
         record.proved += len(merges)
@@ -592,119 +528,25 @@ class SimSweepEngine:
                 if proved == 0:
                     disabled_passes.add(pass_id)
         if not merges:
-            return None, False
+            return False
         state.apply_merges(merges)
-        return None, True
+        return True
 
-    def _run_cut_pass(
-        self,
-        miter: Aig,
-        simulator: ExhaustiveSimulator,
-        pass_id: int,
-        fanout_counts: np.ndarray,
-        levels: np.ndarray,
-        repr_of: Dict[int, int],
-        pair_info: Dict[int, Tuple[int, int]],
-        merges: Dict[int, Tuple[int, int]],
-        bound: Optional[BoundCache] = None,
-    ) -> None:
-        cfg = self.config
-        tracer = get_tracer()
-        selector = CutSelector(
-            pass_id, fanout_counts, levels, cfg.similarity_selection
-        )
-        enumerator = CutEnumerator(miter, cfg.k_l, cfg.C, selector)
-        # Only the fanin cones of the surviving pairs (and their
-        # representatives) need cuts; late phases with few candidates
-        # then skip most of the miter.
-        pair_roots = set()
-        for node, (repr_node, _phase) in pair_info.items():
-            if node not in merges:
-                pair_roots.add(node)
-                if repr_node != 0:
-                    pair_roots.add(repr_node)
-        needed = set(collect_cone(miter, pair_roots))
 
-        def flush(windows: List[Window]) -> None:
-            outcomes = simulator.run(
-                miter, windows, collect_cex=False, skip_oversized=True
-            )
-            for outcome in outcomes:
-                node = outcome.pair.tag
-                if outcome.status is PairStatus.EQUAL:
-                    if node not in merges:
-                        phase = (outcome.pair.lit_a ^ outcome.pair.lit_b) & 1
-                        merges[node] = (outcome.pair.lit_a >> 1, phase)
-                    if bound is not None and outcome.window is not None:
-                        bound.record_equivalent(
-                            outcome.pair.lit_a,
-                            outcome.pair.lit_b,
-                            context="L",
-                            cut_size=len(outcome.window.inputs),
-                        )
-                elif bound is not None and outcome.window is not None:
-                    # A local mismatch may be an SDC, so it proves
-                    # nothing about the pair — but re-simulating the
-                    # same pair over the same cut is futile; memoise it.
-                    bound.record_local_mismatch(
-                        outcome.pair.lit_a,
-                        outcome.pair.lit_b,
-                        outcome.window.inputs,
-                    )
+def structural_verdict(miter: Aig) -> Optional[CecResult]:
+    """Verdicts available before any simulation."""
+    if miter_is_trivially_unsat(miter):
+        return CecResult(CecStatus.EQUIVALENT)
+    if any(po == 1 for po in miter.pos):
+        # A constant-true PO is satisfied by every pattern.
+        return CecResult(CecStatus.NONEQUIVALENT, cex=[0] * miter.num_pis)
+    return None
 
-        buffer = CommonCutBuffer(cfg.buffer_capacity, flush)
-        with tracer.span(
-            "cuts.pass", category="cuts", pass_id=pass_id
-        ) as pass_span:
-            for _level, nodes in enumerator.run(repr_of, only=needed):
-                batch: List[Window] = []
-                for node in nodes:
-                    info = pair_info.get(node)
-                    if info is None or node in merges:
-                        continue
-                    repr_node, phase = info
-                    if repr_node in merges:
-                        continue
-                    priority_r = (
-                        enumerator.priority_cuts(repr_node)
-                        if repr_node != 0
-                        else []
-                    )
-                    priority_n = enumerator.priority_cuts(node)
-                    cuts = common_cuts(
-                        priority_r,
-                        priority_n,
-                        cfg.k_l,
-                        cfg.max_common_cuts_per_pair,
-                    )
-                    pair = Pair(lit(repr_node), lit(node, phase), tag=node)
-                    for cut in cuts:
-                        if bound is not None and bound.local_mismatch_seen(
-                            pair.lit_a, pair.lit_b, cut
-                        ):
-                            continue
-                        roots = [
-                            x
-                            for x in (repr_node, node)
-                            if x != 0 and x not in cut
-                        ]
-                        batch.append(
-                            build_window(miter, cut, roots=roots, pairs=[pair])
-                        )
-                buffer.insert(batch)
-            buffer.drain()
-            pass_span.set("expansions", enumerator.expansions)
-        tracer.metrics.counter_add("cuts.expansions", enumerator.expansions)
 
-    # ------------------------------------------------------------------
-
-    def _po_disproof(
-        self, miter: Aig, state: SweepState, tables: np.ndarray
-    ) -> Optional[CecResult]:
-        """Check whether the random pool already satisfies some miter PO."""
-        from repro.sweep.disproof import find_po_disproof
-
-        pattern = find_po_disproof(miter, state.pi_words, tables)
-        if pattern is None:
-            return None
-        return CecResult(CecStatus.NONEQUIVALENT, cex=pattern)
+def po_disproof(state: SweepState) -> Optional[CecResult]:
+    """Random-pattern disproof: does the state's pattern pool already
+    satisfy some PO of its miter?  Shared by every sweeping checker."""
+    pattern = find_po_disproof(state.network(), state.pi_words, state.tables())
+    if pattern is None:
+        return None
+    return CecResult(CecStatus.NONEQUIVALENT, cex=pattern)

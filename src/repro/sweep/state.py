@@ -325,8 +325,10 @@ class SweepState:
     def apply_merges(self, merges: Dict[int, Tuple[int, int]]) -> Aig:
         """Merge proved pairs, rebuild the miter and carry all knowledge.
 
-        ``merges`` maps a proved node to ``(representative, phase)`` as
-        in :func:`repro.sweep.reduction.reduce_miter`.  The rebuild is
+        This is the miter manager's reduction step (§III-A).  ``merges``
+        maps a proved node to ``(representative, phase)``: the node is
+        functionally equal to ``lit(representative, phase)``, and the
+        representative (a class minimum) has the smaller id.  The rebuild is
         the vectorised gather/strash of :mod:`repro.aig.rebuild`;
         signature rows, the salt matrix, the equivalence classes and the
         cached truth tables of every surviving node move over by pure

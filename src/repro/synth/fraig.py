@@ -16,7 +16,7 @@ Two provers are offered:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.aig.literals import lit
 from repro.aig.network import Aig
@@ -24,11 +24,10 @@ from repro.aig.transform import cleanup
 from repro.aig.traversal import supports_capped
 from repro.sat.cnf import CnfBuilder
 from repro.sat.solver import SatSolver, SolveStatus
-from repro.simulation.exhaustive import ExhaustiveSimulator, PairStatus
-from repro.simulation.merging import merge_windows
-from repro.simulation.window import Pair, build_window
-from repro.sweep.classes import SimulationState
-from repro.sweep.reduction import reduce_miter
+from repro.sat.sweeping import query_pair
+from repro.simulation.exhaustive import ExhaustiveSimulator
+from repro.sweep.provers import prove_full_support
+from repro.sweep.state import SweepState
 
 
 def fraig(
@@ -45,33 +44,28 @@ def fraig(
     simply stay unmerged — the result is always functionally equivalent
     to the input, merely possibly not fully reduced.
     """
-    current = cleanup(aig)
-    state = SimulationState(current.num_pis, num_random_words, seed)
+    state = SweepState(
+        cleanup(aig), num_random_words=num_random_words, seed=seed
+    )
     for _ in range(max_rounds):
-        tables = state.tables(current)
-        classes = state.classes(current, tables)
-        pairs = list(classes.all_pairs())
+        pairs = list(state.classes().all_pairs())
         if not pairs:
             break
-        solver = SatSolver()
-        cnf = CnfBuilder(current, solver)
+        cnf = CnfBuilder(state.network(), SatSolver())
         merges: Dict[int, Tuple[int, int]] = {}
         cex_patterns: List[List[int]] = []
         for repr_node, node, phase in pairs:
-            status = _check_pair_sat(
-                solver, cnf, lit(repr_node), lit(node, phase), conflict_limit
+            status, pattern, _seconds = query_pair(
+                cnf, None, lit(repr_node), lit(node, phase),
+                conflict_limit, None, context="FRAIG",
             )
             if status is SolveStatus.UNSAT:
                 merges[node] = (repr_node, phase)
             elif status is SolveStatus.SAT:
-                cex_patterns.append(cnf.pi_pattern_from_model())
-        if cex_patterns:
-            state.add_cex_patterns(cex_patterns)
-        if merges:
-            current, _ = reduce_miter(current, merges)
-        if not merges and not cex_patterns:
+                cex_patterns.append(pattern)
+        if not _reduce(state, merges, cex_patterns):
             break
-    return current
+    return state.network()
 
 
 def fraig_sim(
@@ -87,76 +81,48 @@ def fraig_sim(
 
     The G-phase prover of the paper's engine applied as a synthesis
     pass: pairs with support union ≤ ``k_g`` are proved by exhaustive
-    simulation; wider pairs are left alone.  Sound by construction —
-    every merge is backed by a complete truth-table comparison.
+    simulation; wider pairs (and windows above the memory budget) are
+    left alone.  Sound by construction — every merge is backed by a
+    complete truth-table comparison.
     """
-    current = cleanup(aig)
-    state = SimulationState(current.num_pis, num_random_words, seed)
+    state = SweepState(
+        cleanup(aig), num_random_words=num_random_words, seed=seed
+    )
     simulator = ExhaustiveSimulator(memory_budget_words)
     for _ in range(max_rounds):
-        tables = state.tables(current)
-        classes = state.classes(current, tables)
+        current = state.network()
         supports = supports_capped(current, k_g)
-        windows = []
-        for repr_node, node, phase in classes.all_pairs():
+        candidates = []
+        for repr_node, node, phase in state.classes().all_pairs():
             supp_r = supports[repr_node]
             supp_n = supports[node]
             if supp_r is None or supp_n is None:
                 continue
             union = supp_r | supp_n
-            if len(union) > k_g:
-                continue
-            roots = [
-                x for x in (repr_node, node) if x != 0 and x not in union
-            ]
-            windows.append(
-                build_window(
-                    current,
-                    sorted(union),
-                    roots,
-                    [Pair(lit(repr_node), lit(node, phase), tag=node)],
-                )
-            )
-        if not windows:
+            if len(union) <= k_g:
+                candidates.append((repr_node, node, phase, union))
+        if not candidates:
             break
-        if window_merging:
-            windows = merge_windows(current, windows, k_g)
-        outcomes = simulator.run(current, windows, collect_cex=True)
-        merges: Dict[int, Tuple[int, int]] = {}
-        cex_patterns: List[List[int]] = []
-        for outcome in outcomes:
-            if outcome.status is PairStatus.EQUAL:
-                phase = (outcome.pair.lit_a ^ outcome.pair.lit_b) & 1
-                merges[outcome.pair.tag] = (outcome.pair.lit_a >> 1, phase)
-            elif outcome.cex is not None:
-                cex_patterns.append(
-                    outcome.cex.to_pi_pattern(current.num_pis)
-                )
-        if cex_patterns:
-            state.add_cex_patterns(cex_patterns)
-        if merges:
-            current, _ = reduce_miter(current, merges)
-        if not merges and not cex_patterns:
+        verdicts = prove_full_support(
+            current, simulator, candidates, None, "FRAIG",
+            merge_k_s=k_g if window_merging else None,
+        )
+        if not _reduce(
+            state, verdicts.merges, list(verdicts.cex.values())
+        ):
             break
-    return current
+    return state.network()
 
 
-def _check_pair_sat(
-    solver: SatSolver,
-    cnf: CnfBuilder,
-    lit_a: int,
-    lit_b: int,
-    conflict_limit: int,
-) -> SolveStatus:
-    sol_a = cnf.literal(lit_a)
-    sol_b = cnf.literal(lit_b)
-    selector = solver.new_var()
-    sel = selector << 1
-    solver.add_clause([sel ^ 1, sol_a, sol_b])
-    solver.add_clause([sel ^ 1, sol_a ^ 1, sol_b ^ 1])
-    status = solver.solve(assumptions=[sel], conflict_limit=conflict_limit)
-    solver.add_clause([sel ^ 1])
-    if status is SolveStatus.UNSAT:
-        solver.add_clause([sol_a, sol_b ^ 1])
-        solver.add_clause([sol_a ^ 1, sol_b])
-    return status
+def _reduce(
+    state: SweepState,
+    merges: Dict[int, Tuple[int, int]],
+    cex_patterns: List[List[int]],
+) -> bool:
+    """Refine the classes and merge the proved pairs; False when the
+    round changed nothing."""
+    if cex_patterns:
+        state.add_cex_patterns(cex_patterns)
+    if merges:
+        state.apply_merges(merges)
+    return bool(merges or cex_patterns)

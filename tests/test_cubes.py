@@ -11,7 +11,9 @@ busy losers, lazy worker respawn, and zero leaked shared memory.
 
 import glob
 import itertools
+import logging
 import random
+import threading
 import time
 
 import pytest
@@ -234,6 +236,48 @@ def test_runner_deadline_returns_unknown():
         )
         assert outcome.status == "unknown"
         assert outcome.stats.get("timeout") is True
+    assert _shm_segments() == 0
+
+
+def test_runner_race_with_a_live_thread_finishes():
+    """A race started from a process with a live thread still settles.
+
+    The runner's workers are not forked from the calling process, so
+    they cannot inherit a lock that thread holds (the hazard of forking
+    a threaded test runner or bench harness).  The race runs under a
+    watchdog so a regression fails here instead of hanging the suite.
+    """
+    original = random_aig(num_pis=6, num_nodes=50, num_pos=2, seed=21)
+    miter = build_miter(original, compress2(original))
+    cubes = enumerate_cubes(choose_split_pis(miter, 2))
+    stop = threading.Event()
+    log = logging.getLogger("repro.test.live_thread")
+
+    def chatter():
+        while not stop.is_set():
+            log.debug("holding the logging locks")
+
+    thread = threading.Thread(target=chatter, daemon=True)
+    outcomes = []
+
+    def race():
+        with CubeRunner(num_workers=2, terminate_grace=0.2) as runner:
+            outcomes.append(runner.solve(
+                miter, cubes, conflict_limit=100_000,
+                deadline=time.perf_counter() + 60.0,
+            ))
+
+    thread.start()
+    try:
+        watched = threading.Thread(target=race, daemon=True)
+        watched.start()
+        watched.join(timeout=120.0)
+    finally:
+        stop.set()
+        thread.join(timeout=10.0)
+    assert not thread.is_alive()
+    assert not watched.is_alive(), "cube race hung"
+    assert [o.status for o in outcomes] == ["equivalent"]
     assert _shm_segments() == 0
 
 

@@ -448,18 +448,45 @@ def test_json_formatter_protects_reserved_keys_and_exceptions():
 # ----------------------------------------------------------------------
 
 
-def test_parallel_portfolio_trace_merges_worker_timelines(tmp_path):
+def test_parallel_portfolio_trace_merges_worker_timelines(
+    tmp_path, monkeypatch
+):
+    from repro.portfolio.checker import CombinedChecker
+    from repro.portfolio.faults import SleepingChecker
     from repro.portfolio.parallel import ParallelPortfolioChecker
 
+    # multiplier(4) settles in milliseconds, so the winner must wait for
+    # the sleeper to start sleeping (inside its engine span) before it
+    # answers; otherwise the sleeper may be cancelled mid-set-up.  The
+    # patches reach the workers because they are forked from this
+    # process.
+    ready = tmp_path / "sleeper.started"
+    sleep_check = SleepingChecker.check_miter
+    combined_check = CombinedChecker.check_miter
+
+    def sleeper_started(self, miter):
+        ready.touch()
+        return sleep_check(self, miter)
+
+    def after_sleeper(self, miter, state=None):
+        deadline = time.monotonic() + 30.0
+        while not ready.exists() and time.monotonic() < deadline:
+            time.sleep(0.005)
+        return combined_check(self, miter, state)
+
+    monkeypatch.setattr(SleepingChecker, "check_miter", sleeper_started)
+    monkeypatch.setattr(CombinedChecker, "check_miter", after_sleeper)
     original = gen.multiplier(4)
     miter = build_miter(original, compress2(original))
     tracer = Tracer(process_name="cec")
     with use_tracer(tracer):
         checker = ParallelPortfolioChecker(
-            engines=[("combined", {}), ("sleep", {"seconds": 60.0})]
+            engines=[("combined", {}), ("sleep", {"seconds": 60.0})],
+            start_method="fork",
         )
         result = checker.check_miter(miter)
     assert result.status.value == "equivalent"
+    assert ready.exists()
 
     doc = tracer.to_chrome_trace()
     events = doc["traceEvents"]
@@ -475,6 +502,7 @@ def test_parallel_portfolio_trace_merges_worker_timelines(tmp_path):
     # whose SIGTERM handler shipped its partial trace.
     assert len(worker_pids) >= 2
     names = {e["name"] for e in events}
+    assert "engine:sleep" in names
     assert "portfolio.run" in names
     assert "portfolio.terminate" in names
     assert "phase.P" in names
