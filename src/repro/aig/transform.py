@@ -15,21 +15,21 @@ experimental protocol need:
 The rebuild hot path is vectorised (:mod:`repro.aig.rebuild`): fanins are
 remapped with numpy gathers and strashing runs over sorted fanin-pair
 keys instead of a per-node Python loop.  The historical sequential
-builder implementations are kept as ``*_reference`` functions; the
-randomized cross-check in ``tests/test_sweep_state.py`` asserts the two
-paths produce bit-identical networks and maps.
+builder implementations live on in ``tests/reference_transforms.py``;
+the randomized cross-check in ``tests/test_sweep_state.py`` asserts the
+two paths produce bit-identical networks and maps.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.aig.builder import AigBuilder
-from repro.aig.literals import CONST0, lit, lit_var
+from repro.aig.literals import lit, lit_var
 from repro.aig.network import Aig
-from repro.aig.rebuild import reachable_and_mask, rebuild_network
+from repro.aig.rebuild import rebuild_network
 
 
 def cleanup(aig: Aig, name: Optional[str] = None) -> Aig:
@@ -81,82 +81,6 @@ def rebuild_with_replacements(
     """
     result = rebuild_network(aig, replacements, name=name, prune="after")
     return result.aig, _map_as_dict(result.node_map)
-
-
-def relabel_compact_reference(
-    aig: Aig, name: Optional[str] = None
-) -> Tuple[Aig, Dict[int, int]]:
-    """Sequential-builder implementation of :func:`relabel_compact`.
-
-    Retained as the independent oracle for the randomized cross-check
-    tests; production callers use the vectorised path.
-    """
-    builder = AigBuilder(aig.num_pis, name=name or aig.name)
-    reachable = _reachable_from_pos(aig)
-    new_lit: Dict[int, int] = {0: CONST0}
-    for pi in aig.pis():
-        new_lit[pi] = lit(pi)
-    f0s, f1s = aig.fanin_literals()
-    base = aig.first_and
-    for i in range(aig.num_ands):
-        node = base + i
-        if not reachable[node]:
-            continue
-        a = new_lit[int(f0s[i]) >> 1] ^ (int(f0s[i]) & 1)
-        b = new_lit[int(f1s[i]) >> 1] ^ (int(f1s[i]) & 1)
-        new_lit[node] = builder.add_and(a, b)
-    for p in aig.pos:
-        builder.add_po(new_lit[lit_var(p)] ^ (p & 1))
-    return builder.build(), new_lit
-
-
-def rebuild_with_replacements_reference(
-    aig: Aig,
-    replacements: Dict[int, int],
-    name: Optional[str] = None,
-) -> Tuple[Aig, Dict[int, int]]:
-    """Sequential-builder implementation of :func:`rebuild_with_replacements`.
-
-    Retained as the independent oracle for the randomized cross-check
-    tests; production callers use the vectorised path.
-    """
-    for node, target in replacements.items():
-        if lit_var(target) >= node:
-            raise ValueError(
-                f"replacement target {target} of node {node} must have a smaller id"
-            )
-    builder = AigBuilder(aig.num_pis, name=name or aig.name)
-    new_lit: Dict[int, int] = {0: CONST0}
-    for pi in aig.pis():
-        if pi in replacements:
-            # A PI can only be replaced by the constant or an earlier PI.
-            target = replacements[pi]
-            new_lit[pi] = new_lit[lit_var(target)] ^ (target & 1)
-        else:
-            new_lit[pi] = lit(pi)
-    f0s, f1s = aig.fanin_literals()
-    base = aig.first_and
-    for i in range(aig.num_ands):
-        node = base + i
-        target = replacements.get(node)
-        if target is not None:
-            new_lit[node] = new_lit[lit_var(target)] ^ (target & 1)
-        else:
-            a = new_lit[int(f0s[i]) >> 1] ^ (int(f0s[i]) & 1)
-            b = new_lit[int(f1s[i]) >> 1] ^ (int(f1s[i]) & 1)
-            new_lit[node] = builder.add_and(a, b)
-    for p in aig.pos:
-        builder.add_po(new_lit[lit_var(p)] ^ (p & 1))
-    reduced = builder.build()
-    cleaned, compact_map = relabel_compact_reference(
-        reduced, name=name or aig.name
-    )
-    final_map = {
-        node: compact_map[lit_var(l)] ^ (l & 1)
-        for node, l in new_lit.items()
-        if lit_var(l) in compact_map
-    }
-    return cleaned, final_map
 
 
 def double(aig: Aig, times: int = 1) -> Aig:
@@ -211,10 +135,3 @@ def compose_pipeline(transforms: Iterable, aig: Aig) -> Aig:
     for transform in transforms:
         result = transform(result)
     return result
-
-
-def _reachable_from_pos(aig: Aig) -> np.ndarray:
-    """Bool mask over node ids; only POs-reachable AND nodes are True."""
-    f0, f1 = aig.fanin_literals()
-    roots = np.asarray(aig.pos, dtype=np.int64) >> 1
-    return reachable_and_mask(aig.num_nodes, aig.first_and, f0 >> 1, f1 >> 1, roots)

@@ -207,7 +207,7 @@ def _sched_stats(tracer: Tracer) -> Dict[str, object]:
     return {
         "dispatch": {
             lane: int(counters.get(f"sched.dispatch.{lane}", 0))
-            for lane in ("sim", "cut", "bdd", "cube", "sat")
+            for lane in ("sim", "cut", "bdd", "sat")
         },
         "mispredicts": int(counters.get("sched.mispredict", 0)),
         "sat_batch": {
@@ -249,9 +249,7 @@ def _mono_sat_seconds(miter, conflict_limit, time_limit):
     return status, time.perf_counter() - start
 
 
-def _cube_stats(
-    miter, conflict_limit, time_limit=None, workers=None
-) -> Dict[str, object]:
+def _cube_stats(miter, conflict_limit, time_limit=None) -> Dict[str, object]:
     """Distributed cube race vs the single-solver monolith on the raw
     miter POs (no sweeping front end on either side, so the comparison
     isolates what splitting + racing buys on the identical queries).
@@ -263,10 +261,7 @@ def _cube_stats(
     """
     from repro.cubes.checker import CubeChecker
 
-    checker = CubeChecker(
-        time_limit=time_limit, conflict_limit=conflict_limit,
-        workers=workers,
-    )
+    checker = CubeChecker(time_limit=time_limit, conflict_limit=conflict_limit)
     tracer = Tracer(process_name="bench-cube")
     start = time.perf_counter()
     with use_tracer(tracer):

@@ -6,8 +6,9 @@ Subcommands
     Check two AIGER files for equivalence.  ``--engine`` selects the
     checker: ``combined`` (default, the paper's flow), ``sim`` (the
     simulation engine alone), ``sat``, ``bdd``, ``cube`` (distributed
-    cube-and-conquer racing every miter PO), ``portfolio`` (staged
-    engines) or ``parallel`` (process-per-engine portfolio racing).
+    cube-and-conquer racing every miter PO; the one entry point to the
+    cube race), ``portfolio`` (staged engines) or ``parallel``
+    (process-per-engine portfolio racing).
 ``stats X.aig``
     Print size/depth/interface statistics of a network.
 ``opt IN.aig OUT.aig``
@@ -41,7 +42,6 @@ through the :mod:`repro.obs.logging` structured logger on *stderr*, so
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Callable, Dict, Optional
 
@@ -52,7 +52,6 @@ from repro.bdd.cec import BddChecker
 from repro.bench import generators as gen
 from repro.cache.config import CacheConfig
 from repro.cache.knowledge import SweepCache
-from repro.cubes.lane import THRESHOLD_ENV, WORKERS_ENV
 from repro.obs import (
     Tracer,
     configure_logging,
@@ -62,7 +61,11 @@ from repro.obs import (
 )
 from repro.obs.logging import LEVELS
 from repro.portfolio.checker import CombinedChecker, PortfolioChecker
-from repro.portfolio.parallel import ParallelPortfolioChecker, PortfolioError
+from repro.portfolio.parallel import (
+    SERVED_ENGINES,
+    ParallelPortfolioChecker,
+    PortfolioError,
+)
 from repro.sat.sweeping import SatSweepChecker
 from repro.sweep.config import EngineConfig
 from repro.sweep.engine import CecStatus, SimSweepEngine
@@ -155,12 +158,6 @@ def _make_checker(
 
 def cmd_cec(args: argparse.Namespace) -> int:
     log = get_logger("cli")
-    # The cube knobs travel by environment so they reach the dispatcher
-    # through every engine path (combined residue, sched, serve).
-    if getattr(args, "cube_threshold", None) is not None:
-        os.environ[THRESHOLD_ENV] = str(args.cube_threshold)
-    if getattr(args, "cube_workers", None) is not None:
-        os.environ[WORKERS_ENV] = str(args.cube_workers)
     aig_a = read_aiger(args.a)
     aig_b = read_aiger(args.b)
     checker = _make_checker(
@@ -416,18 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
         "original P-G-L-SAT pipeline",
     )
     cec.add_argument(
-        "--cube-threshold", type=float, default=None, metavar="SECONDS",
-        help="enable the cube lane: final residue POs whose predicted "
-        "SAT latency is at or above SECONDS are cofactor-split and "
-        "raced on a cancellable worker fan-out (0 races every final "
-        "PO; default: off; equivalent to REPRO_CUBE_THRESHOLD)",
-    )
-    cec.add_argument(
-        "--cube-workers", type=int, default=None, metavar="N",
-        help="worker count of the cube race pool (default 3; "
-        "equivalent to REPRO_CUBE_WORKERS)",
-    )
-    cec.add_argument(
         "--cache", metavar="DIR", default=None,
         help="functional-knowledge cache directory (warm-starts reruns)",
     )
@@ -565,8 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--socket", required=True, metavar="PATH")
     submit.add_argument("--tenant", default="default")
     submit.add_argument(
-        "--engine", default="combined",
-        choices=["combined", "sim", "sat", "bdd"],
+        "--engine", default="combined", choices=SERVED_ENGINES,
     )
     submit.add_argument("--job-deadline", type=float, default=None)
     submit.add_argument(

@@ -1,11 +1,10 @@
-"""Cube-and-conquer splitting of hard residue queries (ROADMAP item 3).
+"""Cube-and-conquer CEC: ``cec --engine cube``.
 
-The sim-sweeping portfolio occasionally leaves a *hard residue*: a
-handful of deep miter POs whose monolithic SAT query the interpreted
-CDCL solver cannot settle in any reasonable budget.  This package
-attacks those queries with the classic cube-and-conquer move — cofactor
-the cone on a few high-influence PIs, producing 2^k smaller, mutually
-disjoint and jointly exhaustive sub-problems, and race them:
+Some miter POs are deep enough that their monolithic SAT query is hard
+for the interpreted CDCL solver.  This package attacks those queries
+with the classic cube-and-conquer move — cofactor the cone on a few
+high-influence PIs, producing 2^k smaller, mutually disjoint and
+jointly exhaustive sub-problems, and race them:
 
 - :mod:`repro.cubes.split` — choosing split PIs, enumerating cubes and
   building the cofactored networks (pure structural work, fully tested
@@ -15,12 +14,12 @@ disjoint and jointly exhaustive sub-problems, and race them:
   cancellable siblings of the monolithic query, the first conclusive
   winner (any-SAT, or UNSAT of the monolith, or UNSAT of *all* cubes)
   cancels the rest through a :class:`~repro.exec.cancel.CancelGroup`;
-- :mod:`repro.cubes.lane` — the scheduler-facing surface: the in-process
-  ``"cube"`` dispatch lane and :func:`prove_pos_with_cubes`, the final
-  PO proof that routes predicted-hard POs through the distributed race;
-- :mod:`repro.cubes.checker` — :class:`CubeChecker`, the standalone
-  ``--engine cube`` baseline that races *every* raw miter PO without
-  any sweeping front end.
+- :mod:`repro.cubes.lane` — :func:`prove_pos_with_cubes`, the PO proof
+  that races every non-constant PO and hands what stays open to the
+  batched SAT backstop;
+- :mod:`repro.cubes.checker` — :class:`CubeChecker`, the ``--engine
+  cube`` baseline that runs that proof on the raw miter, without any
+  sweeping front end.  It is the one entry point to the race.
 
 Soundness rests on one invariant, proved in ``tests/test_cubes.py``:
 the cubes over any split-PI set are pairwise disjoint and exhaustive,
@@ -30,14 +29,7 @@ cube's assignments are patched back into the model.
 """
 
 from repro.cubes.checker import CubeChecker
-from repro.cubes.lane import (
-    CubeLane,
-    THRESHOLD_ENV,
-    WORKERS_ENV,
-    cube_threshold,
-    cube_workers,
-    prove_pos_with_cubes,
-)
+from repro.cubes.lane import prove_pos_with_cubes
 from repro.cubes.runner import CubeOutcome, CubeRunner, run_cube_job
 from repro.cubes.split import (
     Cube,
@@ -50,15 +42,10 @@ from repro.cubes.split import (
 __all__ = [
     "Cube",
     "CubeChecker",
-    "CubeLane",
     "CubeOutcome",
     "CubeRunner",
-    "THRESHOLD_ENV",
-    "WORKERS_ENV",
     "choose_split_pis",
     "cofactor",
-    "cube_threshold",
-    "cube_workers",
     "enumerate_cubes",
     "patch_pattern",
     "prove_pos_with_cubes",

@@ -7,22 +7,15 @@ single-PO cone and settled by a :class:`~repro.cubes.runner.CubeRunner`
 race: the monolithic query plus its 2^k cofactor cubes fan out across
 warm workers and the first conclusive sibling cancels the rest.
 
-Two reasons it exists as a first-class engine rather than only as the
-final-PO accelerator inside the adaptive flow:
-
-- it is the paper-adjacent cube-and-conquer baseline the combined
-  engine should beat, measurable with the same CLI/bench plumbing as
-  every other engine;
-- it exercises the *distributed* cube race end to end from the CLI on
-  any input, which is what CI's ``--require-cubes`` trace gate runs —
-  the sweeping front ends prove the generated pairs so thoroughly that
-  a non-constant PO almost never survives to the in-flow race.
+It is the repository's one entry point to the cube race: the bench
+harness's ``cube_speedup`` comparison and CI's ``--require-cubes`` trace
+gate both drive it.
 
 Implementation: :func:`~repro.cubes.lane.prove_pos_with_cubes` over a
-fresh un-swept :class:`~repro.sweep.state.SweepState`, with the hard-PO
-threshold floored at zero so *every* non-constant PO races.  Anything a
-race leaves unknown falls through to the same batched SAT backstop as
-the adaptive flow, so the engine is complete at its conflict limit.
+fresh un-swept :class:`~repro.sweep.state.SweepState`, so *every*
+non-constant PO races.  Anything a race leaves unknown falls through to
+the batched SAT backstop, so the engine is complete at its conflict
+limit.
 """
 
 from __future__ import annotations
@@ -37,7 +30,7 @@ from repro.sweep.engine import CecResult
 from repro.sweep.report import PhaseRecord
 from repro.sweep.state import SweepState
 
-from repro.cubes.lane import DEFAULT_SPLIT_K, prove_pos_with_cubes
+from repro.cubes.lane import prove_pos_with_cubes
 
 
 class CubeChecker:
@@ -51,23 +44,19 @@ class CubeChecker:
         Per-query CDCL conflict budget (same meaning as the SAT
         sweeper's; the backstop runs at this limit too).
     workers:
-        Cube race pool size (default: ``REPRO_CUBE_WORKERS`` or 3).
-    split_k:
-        Cofactor split width — 2^k cubes race beside the monolith.
+        Cube race pool size.
     """
 
     def __init__(
         self,
         time_limit: Optional[float] = None,
         conflict_limit: int = 100_000,
-        workers: Optional[int] = None,
-        split_k: int = DEFAULT_SPLIT_K,
+        workers: int = 3,
         cache=None,
     ) -> None:
         self.time_limit = time_limit
         self.conflict_limit = conflict_limit
         self.workers = workers
-        self.split_k = split_k
         self.cache = cache
         #: Stats of the last run (PhaseRecord duck-typing the bench rows).
         self.record = PhaseRecord(kind="cube")
@@ -95,8 +84,6 @@ class CubeChecker:
                 self.conflict_limit,
                 deadline,
                 self.record,
-                threshold=0.0,
-                split_k=self.split_k,
                 workers=self.workers,
             )
         self.record.seconds = time.perf_counter() - start

@@ -160,35 +160,31 @@ class CubeRunner:
     """A warm pool of cube workers racing cofactor jobs to first winner.
 
     The runner keeps its :class:`ExecRuntime` and loop-mode workers
-    alive across :meth:`solve` calls (consecutive hard POs of one
-    residue reuse the warm pool); :meth:`close` tears everything down
+    alive across :meth:`solve` calls (consecutive POs of one miter
+    reuse the warm pool); :meth:`close` tears everything down
     leak-free.  Usable as a context manager.
 
     Workers start with ``forkserver`` where the platform has it and
     ``spawn`` otherwise, never by forking the caller: a race is often
     started from a process with live threads (a test runner, the bench
     harness), and a forked child can inherit a lock one of those threads
-    held and block on it forever.  An explicit ``start_method`` or
-    ``REPRO_MP_START_METHOD`` still wins.
+    held and block on it forever.  ``REPRO_MP_START_METHOD`` still wins.
     """
 
     def __init__(
         self,
         num_workers: int = 3,
-        start_method: Optional[str] = None,
-        use_shm: Optional[bool] = None,
         trace: bool = False,
         terminate_grace: float = 1.0,
     ) -> None:
         self.num_workers = max(1, num_workers)
-        if start_method is None and not os.environ.get(START_METHOD_ENV):
-            start_method = (
+        self._start_method: Optional[str] = None
+        if not os.environ.get(START_METHOD_ENV):
+            self._start_method = (
                 "forkserver"
                 if "forkserver" in mp.get_all_start_methods()
                 else "spawn"
             )
-        self._start_method = start_method
-        self._use_shm = use_shm
         self._trace = trace
         self._terminate_grace = terminate_grace
         self._runtime: Optional[ExecRuntime] = None
@@ -211,7 +207,6 @@ class CubeRunner:
         if self._runtime is None:
             self._runtime = ExecRuntime(
                 start_method=self._start_method,
-                use_shm=self._use_shm,
                 trace=self._trace,
                 terminate_grace=self._terminate_grace,
                 flight=True,

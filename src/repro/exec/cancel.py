@@ -7,7 +7,7 @@ spelled it the same way, so downstream records (``EngineRunRecord``,
 ``EngineFailure.reason``) saw "timed out" here and "deadline" there.
 A :class:`CancelToken` makes the reason a first-class, normalised value
 stamped once at cancellation time; :class:`CancelGroup` implements the
-cube lane's first-winner protocol — the first conclusive sibling
+cube race's first-winner protocol — the first conclusive sibling
 cancels every other token of the group.
 """
 

@@ -60,13 +60,10 @@ from repro.exec import (  # noqa: F401  (re-exported compat surface)
     resolve_use_shm,
     stop_process_staged,
 )
-from repro.exec.transport import (  # noqa: F401  (compat aliases)
-    attach_sideband as _attach_sideband,
-    collect_spilled_messages,
+from repro.exec.transport import (  # noqa: F401  (compat alias)
     pack_residue as _pack_residue,
     post_message as _post_message,
 )
-from repro.exec.worker import WorkerTerminated as _WorkerTerminated  # noqa: F401
 from repro.obs import get_tracer
 from repro.shm import SegmentDescriptor, adopt_aig, detach_aig
 from repro.sweep.classes import SharedPool
@@ -108,6 +105,12 @@ class PortfolioError(RuntimeError):
         super().__init__(
             f"all {len(self.failures)} portfolio engines failed: {details}"
         )
+
+
+#: The engine specs a serve job may name.  :func:`build_checker` also
+#: builds the fault injectors (``sleep``, ``crash``, ``leak``), which
+#: only tests may reach.
+SERVED_ENGINES = ("combined", "sim", "sat", "bdd")
 
 
 def build_checker(
@@ -650,8 +653,12 @@ class ParallelPortfolioChecker:
                 and state.token is not None
                 and state.token.cancelled
             ):
-                # A killed worker that crashed on its way out: surface
-                # the crash with the kill reason instead of dropping it.
+                # A late error is the engine's own crash: a cancelled
+                # worker either dies of the SIGTERM or posts
+                # "terminated".  The record reads failed whichever
+                # message arrived first; the kill reason stays on the
+                # failure.
+                record.status = "failed"
                 record.failure = EngineFailure(
                     engine=state.name,
                     message=message.get("message", ""),
@@ -692,16 +699,6 @@ class ParallelPortfolioChecker:
         if status == "equivalent":
             return CecResult(CecStatus.EQUIVALENT)
         return CecResult(CecStatus.NONEQUIVALENT, cex=message.get("cex"))
-
-    def _collect_spilled_messages(
-        self, spill_dir: Optional[str], workers: List[_WorkerState]
-    ) -> None:
-        """Fold in messages workers spilled to disk (see transport)."""
-        for message in collect_spilled_messages(spill_dir):
-            try:
-                self._record_message(workers[message["index"]], message)
-            except (KeyError, IndexError, TypeError):
-                continue
 
     def _merge_worker_cache(self, message: Dict) -> None:
         """Fold a worker's knowledge delta and counters into the run."""

@@ -33,15 +33,9 @@ from repro.obs import get_tracer
 from repro.obs.metrics import Histogram
 from repro.sched.features import PairFeatures
 
-#: The five dispatch lanes, in reroute order (SAT last: it is the
+#: The four dispatch lanes, in reroute order (SAT last: it is the
 #: completeness backstop every unresolved pair falls through to).
-#: ``"cube"`` is gated behind ``REPRO_CUBE_THRESHOLD`` — without the
-#: knob its static cost is infeasible and it never wins a dispatch.
-LANES = ("sim", "cut", "bdd", "cube", "sat")
-
-#: Mirror of :data:`repro.cubes.lane.THRESHOLD_ENV` (kept literal here:
-#: the cost model must stay importable without the cubes package).
-CUBE_ENV = "REPRO_CUBE_THRESHOLD"
+LANES = ("sim", "cut", "bdd", "sat")
 
 #: Environment variable forcing every dispatch onto a single lane.
 FORCE_ENV = "REPRO_SCHED_FORCE"
@@ -113,15 +107,6 @@ class CostModel:
             if support > self.bdd_cap:
                 return INFEASIBLE
             return 4e-4 + 3e-5 * support * (1.0 + f.level / 8.0)
-        if lane == "cube":
-            # Assumption-split SAT: the same backstop query sliced into
-            # 2^k cofactor solves.  Splitting only pays on deep cones
-            # (shallow queries UNSAT before the split amortises), so the
-            # seed undercuts the SAT lane past ~20 levels — and the lane
-            # stays out of the race entirely unless the cube knob is on.
-            if os.environ.get(CUBE_ENV) is None:
-                return INFEASIBLE
-            return 4e-3 + 1.0e-4 * f.level
         if lane == "sat":
             # Always feasible, but CDCL on a non-trivially-equivalent
             # pair is milliseconds even when it wins — seed it as the

@@ -26,8 +26,8 @@ from repro.aig.literals import lit
 from repro.aig.miter import build_miter
 from repro.aig.network import Aig
 from repro.cache.knowledge import SweepCache
-from repro.cubes.lane import CubeLane, prove_pos_with_cubes
 from repro.obs import get_tracer
+from repro.sat.sweeping import prove_pos_batched
 from repro.sched.cost import LANES, CostModel
 from repro.sched.features import FeatureExtractor
 from repro.sched.lanes import (
@@ -110,7 +110,6 @@ class AdaptiveSweeper:
             "sim": SimLane(self.config),
             "cut": CutLane(self.config),
             "bdd": BddLane(node_limit=BDD_NODE_LIMIT),
-            "cube": CubeLane(conflict_budget=max(200, conflict_limit // 100)),
             "sat": SatBatchLane(
                 conflict_budget=max(200, conflict_limit // 100)
             ),
@@ -151,13 +150,9 @@ class AdaptiveSweeper:
         metrics.counter_add("sched.mispredict", 0)
         metrics.counter_add("sat.batch.pairs", 0)
         metrics.counter_add("sat.batch.solves", 0)
-        # With the cube knob on, predicted-hard POs of the final proof
-        # are raced as distributed cofactor fan-outs first (the cube
-        # lane's out-of-process half); the batched backstop always
-        # concludes.
         return loop.run(
             sweep, "sched.check_miter", MAX_ROUNDS, self._prove_round,
-            lambda sweep, deadline, record: prove_pos_with_cubes(
+            lambda sweep, deadline, record: prove_pos_batched(
                 sweep, self.cache, self.conflict_limit, deadline, record
             ),
         )
@@ -216,7 +211,7 @@ class AdaptiveSweeper:
                 routed[lane].append(
                     RoutedPair(repr_node, node, phase, features)
                 )
-            for lane_name in ("sim", "cut", "bdd", "cube"):
+            for lane_name in ("sim", "cut", "bdd"):
                 lane_pairs = routed[lane_name]
                 if not lane_pairs:
                     continue

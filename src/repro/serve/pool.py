@@ -15,8 +15,8 @@ Process lifecycle, flight rings and queue plumbing live in
 :mod:`repro.exec`; this module is the serving *policy*.  Jobs queue on
 a parent-side work-stealing :class:`~repro.exec.board.JobBoard` and
 commit to a worker's inbox only when it goes idle, so an idle worker
-steals backlog from a busy sibling and a cancelled queued job (a losing
-cube, an expired deadline) costs a list removal, never a kill.  A
+steals backlog from a busy sibling and a cancelled queued job (an
+expired deadline) costs a list removal, never a kill.  A
 worker that crashes or blows its per-job deadline is stopped with the
 staged SIGTERM → SIGKILL machinery and respawned; the respawn starts
 *warm* because it reloads the merged tenant caches from disk.  The
@@ -40,10 +40,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.aig.network import Aig
 from repro.cache.config import CacheConfig
 from repro.cache.knowledge import SweepCache
-from repro.cubes.runner import MONOLITH, run_cube_job
-from repro.cubes.split import Cube, choose_split_pis, enumerate_cubes
 from repro.exec import (
-    CancelGroup,
     CancelToken,
     ExecRuntime,
     JobBoard,
@@ -194,10 +191,6 @@ def run_serve_job(message: Dict, ctx) -> Dict:
     raise; the worker main reports and survives them: one malformed
     miter must not cost the pool a warm worker.
     """
-    if message.get("cube_group") is not None:
-        # A cube sub-job of a hard query: same warm worker, but the
-        # work is one cofactor solve (see repro.cubes.runner).
-        return run_cube_job(message, ctx)
     resident = ctx.resident
     caches: Dict[Tuple[str, int], SweepCache] = resident.setdefault(
         "caches", {}
@@ -279,36 +272,6 @@ class _Inflight:
     token: Optional[CancelToken] = None
 
 
-@dataclass
-class _CubeGroup:
-    """One ``engine="cubes"`` query fanned out as sibling sub-jobs.
-
-    The group owns the published miter segment (sub-jobs share it) and
-    the :class:`~repro.exec.cancel.CancelGroup` implementing the
-    first-winner protocol: the first conclusive sibling settles the
-    parent job, queued losers are revoked off the board for free, and
-    busy losers finish into the void (their results are discarded — a
-    warm serve worker is never killed over a lost race).
-    """
-
-    job_id: int
-    job: ServeJob
-    submitted: float
-    deadline_at: Optional[float]
-    descriptor: Optional[object]
-    num_cubes: int
-    cancel: CancelGroup = field(default_factory=CancelGroup)
-    #: Sub-job ids still racing.
-    pending: set = field(default_factory=set)
-    #: Sub-job id → human label ("monolith" / "pi3=1,pi7=0").
-    labels: Dict[int, str] = field(default_factory=dict)
-    unsat_cubes: int = 0
-    #: Some sibling ended unknown/error — "all cubes UNSAT" is then the
-    #: only equivalence path left.
-    unknown: bool = False
-    settled: bool = False
-
-
 class WorkerPool:
     """A fixed-size pool of persistent warm CEC workers.
 
@@ -383,12 +346,6 @@ class WorkerPool:
         self._workers: List[WorkerHandle] = []
         self._inflight: Dict[int, _Inflight] = {}
         self._results: Dict[int, ServeResult] = {}
-        #: Live cube-group races, by parent job id.
-        self._cube_groups: Dict[int, _CubeGroup] = {}
-        #: Cube sub-job id → parent job id (kept until the sub-job's
-        #: result — or corpse — is absorbed, so late losers are
-        #: recognised and dropped).
-        self._cube_subjobs: Dict[int, int] = {}
         self._next_job_id = 0
         #: Parent-side pools generated once per miter shape and shipped
         #: read-only with every job segment.
@@ -495,8 +452,6 @@ class WorkerPool:
         """
         if not self.started:
             self.start()
-        if job.engine in ("cubes", "cube"):
-            return self._submit_cube_group(job)
         job_id = self._next_job_id
         self._next_job_id += 1
         worker = min(
@@ -541,79 +496,6 @@ class WorkerPool:
         )
         self._dispatch()
         return job_id
-
-    def _submit_cube_group(self, job: ServeJob) -> int:
-        """Fan one hard query out as a monolith + 2^k cube siblings.
-
-        One published segment serves every sibling; the sub-jobs spread
-        across the pool round-robin, so a single hard query occupies
-        multiple warm workers at once.  ``engine_kwargs``: ``split_k``
-        (split width, default 2) and ``conflict_limit``.
-        """
-        parent_id = self._next_job_id
-        self._next_job_id += 1
-        kwargs = dict(job.engine_kwargs)
-        split_k = int(kwargs.get("split_k", 2))
-        conflict_limit = kwargs.get("conflict_limit")
-        cubes = enumerate_cubes(choose_split_pis(job.miter, split_k))
-        deadline = (
-            job.deadline if job.deadline is not None else self.job_deadline
-        )
-        now = time.monotonic()
-        descriptor = self._runtime.publish_aig(job.miter)
-        group = _CubeGroup(
-            job_id=parent_id,
-            job=job,
-            submitted=now,
-            deadline_at=(now + deadline if deadline is not None else None),
-            descriptor=descriptor,
-            num_cubes=len(cubes),
-        )
-        self._cube_groups[parent_id] = group
-        self.metrics.counter_add("serve.jobs_submitted")
-        self.metrics.counter_add("serve.cube_groups")
-        self.metrics.counter_add("cubes.split", len(cubes))
-        base: Dict[str, object] = {"cube_group": parent_id}
-        if descriptor is not None:
-            base["aig_ref"] = descriptor
-        else:
-            base["aig"] = job.miter
-        if conflict_limit is not None:
-            base["conflict_limit"] = int(conflict_limit)
-        if deadline is not None:
-            base["deadline_epoch"] = time.time() + deadline
-        if kwargs.get("cube_delay"):  # test knob: slow cube siblings
-            base["cube_delay"] = float(kwargs["cube_delay"])
-        siblings: List[Tuple[str, Optional[Cube]]] = [(MONOLITH, None)]
-        siblings.extend((str(cube), cube) for cube in cubes)
-        for offset, (label, cube) in enumerate(siblings):
-            sub_id = self._next_job_id
-            self._next_job_id += 1
-            token = group.cancel.new_token(label)
-            payload = dict(base)
-            payload["job"] = sub_id
-            payload["meta"] = {
-                "tenant": job.tenant, "engine": "cubes", "cube": label,
-            }
-            if cube is not None:
-                payload["cube"] = cube.as_list()
-                if "cube_delay" in base:
-                    payload["delay"] = base["cube_delay"]
-            self._inflight[sub_id] = _Inflight(
-                job=job,
-                worker=-1,
-                submitted=now,
-                deadline_at=None,  # the *group* deadline governs
-                descriptor=None,  # the group owns the segment
-                token=token,
-            )
-            group.pending.add(sub_id)
-            group.labels[sub_id] = label
-            affinity = self._workers[offset % len(self._workers)].index
-            self._board.add(sub_id, payload, token=token, affinity=affinity)
-            self._cube_subjobs[sub_id] = parent_id
-        self._dispatch()
-        return parent_id
 
     def _shared_pool(self, job: ServeJob) -> Optional[SharedPool]:
         """The once-generated pattern pool for this job's miter shape."""
@@ -705,8 +587,6 @@ class WorkerPool:
         if kind != "result":
             return None
         job_id = message.get("job")
-        if job_id in self._cube_subjobs:
-            return self._absorb_cube_result(job_id, message)
         entry = self._inflight.pop(job_id, None)
         if entry is None:
             return None  # job already settled (deadline kill raced it)
@@ -742,134 +622,6 @@ class WorkerPool:
         self._results[job_id] = result
         self._dispatch_worker(worker)
         return result
-
-    def _absorb_cube_result(
-        self, sub_id: int, message: Dict
-    ) -> Optional[ServeResult]:
-        """Fold one cube sibling's result into its race.
-
-        Returns the *parent* job's result when this sibling settles the
-        race; late losers of an already-settled race only free their
-        worker and bookkeeping.
-        """
-        entry = self._inflight.pop(sub_id, None)
-        parent_id = self._cube_subjobs.pop(sub_id, None)
-        worker = (
-            self._workers[entry.worker]
-            if entry is not None and entry.worker >= 0
-            else None
-        )
-        if worker is not None:
-            if sub_id in worker.assigned:
-                worker.assigned.remove(sub_id)
-            worker.jobs_done += 1
-        group = (
-            self._cube_groups.get(parent_id)
-            if parent_id is not None
-            else None
-        )
-        result: Optional[ServeResult] = None
-        if group is not None and not group.settled:
-            group.pending.discard(sub_id)
-            label = group.labels.get(sub_id, "")
-            status = str(message.get("status", "error"))
-            seconds = float(message.get("seconds", 0.0))
-            if status == "sat":
-                result = self._settle_cube_group(
-                    group, "nonequivalent", message.get("cex"),
-                    winner=label, seconds=seconds,
-                )
-            elif status == "unsat":
-                if label == MONOLITH:
-                    result = self._settle_cube_group(
-                        group, "equivalent", None,
-                        winner=MONOLITH, seconds=seconds,
-                    )
-                else:
-                    group.unsat_cubes += 1
-                    if group.unsat_cubes == group.num_cubes:
-                        result = self._settle_cube_group(
-                            group, "equivalent", None,
-                            winner="all-cubes", seconds=seconds,
-                        )
-            else:
-                group.unknown = True
-            if result is None and not group.pending:
-                # Every sibling reported, none conclusive.
-                result = self._settle_cube_group(
-                    group, "undecided", None, winner=None, seconds=seconds,
-                )
-        if worker is not None:
-            self._dispatch_worker(worker)
-        return result
-
-    def _settle_cube_group(
-        self,
-        group: _CubeGroup,
-        status: str,
-        cex: Optional[List[int]],
-        winner: Optional[str],
-        seconds: float = 0.0,
-        error: str = "",
-    ) -> ServeResult:
-        """First-winner resolution: settle the parent, cancel the rest.
-
-        Siblings still queued on the board are revoked for free; busy
-        losers keep their warm worker and report into the void (the
-        ``settled`` flag plus the sub-job map drop their results).
-        """
-        group.settled = True
-        self._cube_groups.pop(group.job_id, None)
-        group.cancel.cancel_rest(reason="cancelled")
-        revoked = self._board.revoke_cancelled()
-        cancelled = 0
-        for board_job in revoked:
-            if board_job.job_id in group.pending:
-                group.pending.discard(board_job.job_id)
-                self._inflight.pop(board_job.job_id, None)
-                self._cube_subjobs.pop(board_job.job_id, None)
-                cancelled += 1
-        # Whatever is still pending is running on a worker: a discarded
-        # (but not killed) loser.
-        cancelled += len(group.pending)
-        if cancelled:
-            self.metrics.counter_add("cubes.cancelled", cancelled)
-        if group.descriptor is not None and self.registry is not None:
-            try:
-                self.registry.unpublish(group.descriptor)
-            except Exception:
-                pass
-            group.descriptor = None
-        result = ServeResult(
-            job_id=group.job_id,
-            name=group.job.name,
-            tenant=group.job.tenant,
-            status=status,
-            cex=cex,
-            seconds=seconds,
-            latency=time.monotonic() - group.submitted,
-            worker=-1,
-            error=error,
-        )
-        self.metrics.counter_add("serve.jobs_completed")
-        self.metrics.observe("serve.job.latency_seconds", result.latency)
-        if self.slo is not None:
-            if error == "job deadline exceeded":
-                self.slo.record_deadline_miss(result.tenant)
-            else:
-                self.slo.record_job(
-                    result.tenant, result.latency, failed=not result.ok
-                )
-        if winner is not None:
-            self.metrics.counter_add("cubes.races")
-        self._results[group.job_id] = result
-        return result
-
-    def _cube_subjob_failed(self, sub_id: int, reason: str) -> Optional[ServeResult]:
-        """A cube sibling died with its worker: treat it as unknown."""
-        return self._absorb_cube_result(
-            sub_id, {"job": sub_id, "status": "error", "error": reason}
-        )
 
     def _release_segment(self, entry: _Inflight) -> None:
         if entry.descriptor is not None and self.registry is not None:
@@ -921,11 +673,6 @@ class WorkerPool:
         """
         failed: List[ServeResult] = []
         for job_id in list(worker.assigned):
-            if job_id in self._cube_subjobs:
-                settled = self._cube_subjob_failed(job_id, reason)
-                if settled is not None:
-                    failed.append(settled)
-                continue
             entry = self._inflight.pop(job_id, None)
             if entry is None:
                 continue
@@ -1040,19 +787,6 @@ class WorkerPool:
             )
             completed.extend(failed)
             self._respawn(worker, reason="deadline", failed=failed)
-        # Cube races run under a *group* deadline (the sub-jobs carry
-        # none of their own): an expired race settles as one error and
-        # revokes its queued siblings — busy ones stay on their warm
-        # workers, their late results are dropped.
-        for group in list(self._cube_groups.values()):
-            if group.deadline_at is None or now < group.deadline_at:
-                continue
-            completed.append(
-                self._settle_cube_group(
-                    group, "error", None, winner=None,
-                    error="job deadline exceeded",
-                )
-            )
         # Jobs whose deadline expired while still queued on the board
         # settle for free: cancel the token, no worker to kill.
         for job_id, entry in list(self._inflight.items()):
@@ -1139,7 +873,6 @@ class WorkerPool:
             "workers": self.num_workers,
             "inflight": len(self._inflight),
             "board": len(self._board),
-            "cube_groups": len(self._cube_groups),
             "jobs_done": sum(w.jobs_done for w in self._workers),
             "respawns": sum(w.respawns for w in self._workers),
             "jobs_submitted": int(

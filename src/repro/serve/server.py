@@ -33,6 +33,7 @@ import time
 from typing import Dict, List, Optional, Sequence
 
 from repro.obs import Tracer, encode_prometheus, get_tracer, read_rss_bytes, set_tracer
+from repro.portfolio.parallel import SERVED_ENGINES
 from repro.serve.admission import AdmissionController, AdmissionError
 from repro.serve.pool import ServeJob, WorkerPool
 from repro.serve.protocol import (
@@ -354,8 +355,11 @@ class CecServer:
         validate_tenant(tenant)  # reject before any work is queued
         miter = aig_from_wire(entry.get("miter"))
         engine = entry.get("engine", "combined")
-        if not isinstance(engine, str):
-            raise ProtocolError("job 'engine' must be a string")
+        if engine not in SERVED_ENGINES:
+            raise ProtocolError(
+                f"job 'engine' must be one of {', '.join(SERVED_ENGINES)}"
+                f", not {engine!r}"
+            )
         kwargs = entry.get("engine_kwargs", {})
         if not isinstance(kwargs, dict):
             raise ProtocolError("job 'engine_kwargs' must be an object")

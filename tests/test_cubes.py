@@ -1,12 +1,11 @@
-"""Cube-and-conquer: split soundness, lane verdicts, distributed race.
+"""Cube-and-conquer: split soundness, the distributed race, the checker.
 
 The package's soundness rests on one invariant — the cubes over any
 split-PI set are pairwise disjoint and jointly exhaustive — so the
-property tests here check it structurally and functionally, then the
-verdict sweep pins the in-process cube lane against the fixed pipeline
-and brute force on ~100 seeded miters, and the runner tests drive the
-distributed race end to end: first-winner cancellation, staged kills of
-busy losers, lazy worker respawn, and zero leaked shared memory.
+property tests here check it structurally and functionally, the runner
+tests drive the distributed race end to end (first-winner cancellation,
+staged kills of busy losers, lazy worker respawn, zero leaked shared
+memory), and ``--engine cube``'s checker is pinned against brute force.
 """
 
 import glob
@@ -29,9 +28,6 @@ from repro.cubes import (
     enumerate_cubes,
     patch_pattern,
 )
-from repro.portfolio.checker import CombinedChecker
-from repro.sched import FORCE_ENV, AdaptiveSweeper
-from repro.sweep.config import EngineConfig
 from repro.sweep.engine import CecStatus
 from repro.synth.resyn import compress2
 
@@ -124,43 +120,6 @@ def test_cube_list_round_trip():
     assert Cube.from_list(cube.as_list()) == cube
     assert str(cube) == "pi2=1,pi5=0"
     assert str(Cube(())) == "monolith"
-
-
-# ----------------------------------------------------------------------
-# Verdict sweep: forced cube lane ≡ fixed pipeline ≡ brute force
-# ----------------------------------------------------------------------
-
-
-def _case(seed: int):
-    original = random_aig(
-        num_pis=5 + seed % 4, num_nodes=40 + seed % 30, num_pos=3, seed=seed
-    )
-    other = compress2(original)
-    if seed % 2 == 1:
-        other = _mutate(other, seed)
-    equal, _ = brute_force_equivalent(original, other)
-    return original, other, equal
-
-
-@pytest.mark.parametrize("seed_block", range(10))
-def test_cube_lane_verdicts_match_fixed_pipeline(seed_block, monkeypatch):
-    """10 blocks × 10 seeds = 100 miters: every dispatch pinned to the
-    cube lane must reach the same verdict as the fixed P-G-L-SAT
-    pipeline, and both must match brute force."""
-    monkeypatch.setenv(FORCE_ENV, "cube")
-    for seed in range(seed_block * 10, seed_block * 10 + 10):
-        original, other, equal = _case(seed)
-        fixed = CombinedChecker(EngineConfig.fast(), sched="fixed").check(
-            original, other
-        )
-        cube = AdaptiveSweeper(EngineConfig.fast()).check(original, other)
-        assert fixed.status == cube.status, seed
-        expected = CecStatus.EQUIVALENT if equal else CecStatus.NONEQUIVALENT
-        assert cube.status is expected, seed
-        if not equal:
-            assert original.evaluate(cube.cex) != other.evaluate(cube.cex), (
-                seed
-            )
 
 
 # ----------------------------------------------------------------------

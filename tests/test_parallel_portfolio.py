@@ -116,6 +116,34 @@ def test_crash_recorded_on_report():
     assert "RuntimeError" in crashed.failure.traceback
 
 
+def test_late_crash_of_a_cancelled_worker_reads_failed():
+    """A crash read after the winner cancelled its worker still reads
+    ``failed``: a cancelled worker dies of the SIGTERM or posts
+    ``terminated``, so a late ``error`` is the engine's own crash."""
+    from repro.exec import CancelToken
+    from repro.portfolio.parallel import _WorkerState
+    from repro.sweep.report import EngineRunRecord
+
+    checker = ParallelPortfolioChecker(engines=[("crash", {})])
+    token = CancelToken("crash")
+    token.cancel("cancelled")
+    record = EngineRunRecord(name="crash", status="cancelled")
+    state = _WorkerState(
+        index=0, name="crash", record=record, token=token, done=True
+    )
+    checker._record_message(state, {
+        "index": 0,
+        "status": "error",
+        "message": "boom",
+        "traceback": "RuntimeError: boom",
+        "seconds": 0.01,
+    })
+    assert record.status == "failed"
+    assert record.failure is not None
+    assert "boom" in record.failure.message
+    assert record.failure.reason == "cancelled"
+
+
 def test_all_engines_fail_raises_descriptive_error():
     original = voter(9)
     optimized = compress2(original)

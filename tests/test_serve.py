@@ -477,6 +477,13 @@ def test_server_rejects_bad_tenants_and_jobs(daemon):
             client._request({"op": "submit", "jobs": "nope"})
         with pytest.raises(ServeError):
             client._request({"op": "no-such-op"})
+        # Only the served engines reach a worker: fault injectors,
+        # "cubes" and unknown names are refused before anything queues.
+        for engine in ("leak", "sleep", "cubes", "no-such-engine"):
+            with pytest.raises(ServeError) as excinfo:
+                client.submit_batch([_equivalent_miter(9)], engine=engine)
+            assert excinfo.value.code == "job"
+        assert client.stats()["pool"]["jobs_submitted"] == 0
 
 
 def test_server_shutdown_drains_and_unlinks_socket(daemon):

@@ -337,7 +337,10 @@ def test_post_message_without_spill_path_drops_quietly():
     _post_message(_TornDownQueue(), {"index": 0}, None)
 
 
-def test_collect_spilled_messages(tmp_path):
+def test_collect_spilled_messages():
+    """A message a worker spilled to disk reaches its record through the
+    runtime's late drain, as at the end of a portfolio run."""
+    from repro.exec import ExecRuntime
     from repro.portfolio.parallel import _WorkerState
     from repro.sweep.report import EngineRunRecord
 
@@ -346,11 +349,23 @@ def test_collect_spilled_messages(tmp_path):
     worker = _WorkerState(
         index=0, name="sim", process=None, record=record, budget=None
     )
-    message = {"index": 0, "status": "undecided", "seconds": 0.5}
-    with open(tmp_path / "worker0.msg", "wb") as handle:
-        pickle.dump(message, handle)
-    (tmp_path / "junk.txt").write_text("not a message")
-    checker._collect_spilled_messages(str(tmp_path), [worker])
+    workers = [worker]
+    runtime = ExecRuntime(use_shm=False, spill=True).open()
+    try:
+        spill_dir = runtime.spill_dir
+        message = {"index": 0, "status": "undecided", "seconds": 0.5}
+        with open(os.path.join(spill_dir, "worker0.msg"), "wb") as handle:
+            pickle.dump(message, handle)
+        with open(os.path.join(spill_dir, "junk.txt"), "w") as handle:
+            handle.write("not a message")
+        runtime.drain_late(
+            lambda message: checker._record_message(
+                workers[message["index"]], message
+            ),
+            max_wait=0.1,
+        )
+    finally:
+        runtime.close()
     assert record.status == "undecided"
     assert record.seconds == 0.5
 

@@ -7,7 +7,7 @@ rebuild-from-scratch path, and the carried signature matrix must equal a
 fresh full re-simulation of the reduced network.  These tests enforce
 both on hundreds of seeded random networks, using the retained
 sequential-builder ``*_reference`` implementations as independent
-oracles.
+oracles (``tests/reference_transforms.py``).
 """
 
 from __future__ import annotations
@@ -20,15 +20,17 @@ import numpy as np
 import pytest
 
 from conftest import layered_aig, random_aig
+from reference_transforms import (
+    rebuild_with_replacements_reference,
+    relabel_compact_reference,
+)
 from repro.aig.literals import CONST0, lit, lit_var
 from repro.aig.network import Aig
 from repro.aig.rebuild import reachable_and_mask, rebuild_network
 from repro.aig.transform import (
     cleanup,
     rebuild_with_replacements,
-    rebuild_with_replacements_reference,
     relabel_compact,
-    relabel_compact_reference,
 )
 from repro.obs import Tracer, use_tracer
 from repro.simulation.partial import pack_patterns, simulate_words

@@ -41,8 +41,8 @@ the rules below *are* the schema):
   never ran), ``sched.mispredict`` is recorded, and the batched SAT
   lane actually batched — ``sat.batch.pairs > sat.batch.solves`` with
   at least one solve, i.e. many pairs shared each solver instance;
-- ``--require-cubes``: the run must have raced cofactor cubes for at
-  least one hard residue query: the ``cubes.split``/``cubes.races``/
+- ``--require-cubes``: the run (``cec --engine cube``) must have raced
+  cofactor cubes for at least one miter PO: the ``cubes.split``/``cubes.races``/
   ``cubes.cancelled`` counters are present, a ``cubes.race`` span
   appears, and at least one losing sibling was cancelled after the
   first winner (``cubes.cancelled >= 1``) — i.e. first-winner
@@ -71,9 +71,7 @@ SHM_REQUIRED_COUNTERS = (
     "shm.bytes_shared",
 )
 
-#: The adaptive scheduler's dispatch lanes (``--require-sched``).  The
-#: "cube" lane is deliberately absent: it only exists when the cube knob
-#: is on, and its evidence is gated separately by ``--require-cubes``.
+#: The adaptive scheduler's dispatch lanes (``--require-sched``).
 SCHED_LANES = ("sim", "cut", "bdd", "sat")
 
 #: Counters that must be present under ``--require-cubes``.
@@ -250,12 +248,12 @@ def validate_trace(
             if counter not in counters:
                 errors.append(
                     f"counter {counter!r} missing: the run never entered "
-                    "the cube-and-conquer path (set REPRO_CUBE_THRESHOLD "
-                    "to route hard final POs through it)"
+                    "the cube-and-conquer path (run `cec --engine cube` "
+                    "to race every miter PO)"
                 )
         if counters.get("cubes.split", 0) < 1:
             errors.append(
-                "cubes.split < 1: no residue query was ever cofactor-split"
+                "cubes.split < 1: no PO query was ever cofactor-split"
             )
         if counters.get("cubes.races", 0) < 1:
             errors.append(
@@ -270,8 +268,7 @@ def validate_trace(
         if "cubes.race" not in span_names:
             errors.append(
                 "no 'cubes.race' span found: the distributed cube race "
-                "never ran (counters without the span would mean the "
-                "in-process lane only)"
+                "never ran"
             )
     return errors
 
