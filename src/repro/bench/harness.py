@@ -66,10 +66,6 @@ class Table2Row:
     #: 1.0 means every reduction carried its knowledge, 0.0 means the
     #: run degenerated to rebuild-from-scratch.
     carryover_ratio: float = 0.0
-    #: Shared-memory data-plane counters of the run (segments created/
-    #: adopted/leaked, bytes shared vs pickled); empty when no parallel
-    #: stage ran or the plane was disabled.
-    shm: Dict[str, float] = field(default_factory=dict)
     #: Adaptive-scheduler comparison of the row: cold ``auto`` vs cold
     #: ``fixed`` wall-clock (``speedup`` = fixed/auto), the auto run's
     #: per-lane ``dispatch`` counts, ``mispredicts``, and the batched
@@ -116,9 +112,6 @@ class Fig6Row:
     rebuild_s: float = 0.0
     #: Carried / (carried + recomputed) signature words of the run.
     carryover_ratio: float = 0.0
-    #: Shared-memory data-plane counters of the run; empty when no
-    #: parallel stage ran or the plane was disabled.
-    shm: Dict[str, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -127,7 +120,7 @@ class ServeRow:
 
     ``latency`` is the client-observed submit→result time (queueing and
     protocol included); ``seconds`` is the worker-side engine time.  The
-    cold round pays worker warm-up (cache load, pool generation); the
+    cold round pays worker warm-up (imports, cache load); the
     warm round measures the steady state the daemon exists for.
     """
 
@@ -176,25 +169,6 @@ def _carry_stats(tracer: Tracer) -> Dict[str, float]:
         "rebuild_s": rebuild_s,
         "carryover_ratio": carried / touched if touched else 0.0,
     }
-
-
-def _shm_stats(tracer: Tracer) -> Dict[str, float]:
-    """Data-plane counters of one traced run, for the row's ``shm`` dict.
-
-    Collects every ``shm.*`` counter plus ``ipc.bytes_pickled`` (the
-    queue-side complement needed to judge the zero-copy ratio).  Empty
-    when the run never touched the plane — inline engines, or a parallel
-    stage with ``REPRO_SHM=0``.
-    """
-    counters = tracer.metrics.counters
-    stats = {
-        name: float(value)
-        for name, value in counters.items()
-        if name.startswith("shm.")
-    }
-    if stats and "ipc.bytes_pickled" in counters:
-        stats["ipc.bytes_pickled"] = float(counters["ipc.bytes_pickled"])
-    return stats
 
 
 def _sched_stats(tracer: Tracer) -> Dict[str, object]:
@@ -304,9 +278,7 @@ def run_table2_case(
 
     ``parallel_portfolio`` runs the commercial-tool stand-in as the
     multiprocess :class:`ParallelPortfolioChecker` instead of the inline
-    cascade; the stage is traced so the row's ``shm`` dict reports the
-    data-plane traffic (segments, bytes shared vs pickled).
-    ``run_cubes`` adds the distributed cube race vs single-solver
+    cascade.  ``run_cubes`` adds the distributed cube race vs single-solver
     monolith comparison (the row's ``cube`` dict).
 
     Raises ``AssertionError`` if any conclusive verdicts disagree — the
@@ -323,22 +295,18 @@ def run_table2_case(
     abc_seconds = time.perf_counter() - start
 
     cfm_engine_seconds: Dict[str, float] = {}
-    cfm_shm: Dict[str, float] = {}
     if run_portfolio and parallel_portfolio:
         from repro.portfolio.parallel import ParallelPortfolioChecker
 
         cfm = ParallelPortfolioChecker(time_limit=baseline_time_limit)
-        cfm_tracer = Tracer(process_name=f"bench-cfm:{case.name}")
         start = time.perf_counter()
         try:
-            with use_tracer(cfm_tracer):
-                cfm_result = cfm.check_miter(miter)
+            cfm_result = cfm.check_miter(miter)
             cfm_status = cfm_result.status.value
         except PortfolioError:
             cfm_result = None
             cfm_status = "failed"
         cfm_seconds = time.perf_counter() - start
-        cfm_shm = _shm_stats(cfm_tracer)
         cfm_report = (
             cfm_result.report if cfm_result is not None else None
         )
@@ -469,7 +437,6 @@ def run_table2_case(
             p.as_dict() for p in getattr(ours_result.report, "phases", [])
         ],
         trace=tracer.summary(),
-        shm={**cfm_shm, **_shm_stats(tracer)},
         sched=sched_stats,
         cube=cube_stats,
         **_carry_stats(tracer),
@@ -525,7 +492,6 @@ def run_fig6(
                 ),
                 phases=[p.as_dict() for p in result.report.phases],
                 trace=tracer.summary(),
-                shm=_shm_stats(tracer),
                 **_carry_stats(tracer),
             )
         )
@@ -600,8 +566,8 @@ def run_serve(
     Unix socket (in a helper thread) and every case is submitted through
     :class:`~repro.serve.client.ServeClient` for ``rounds`` rounds — so
     the measured latency includes protocol framing, admission, queueing,
-    shm publication, and the engine itself.  Round 0 is the cold round;
-    later rounds hit the workers' resident caches and pattern pools.
+    the pickled hand-off to a worker, and the engine itself.  Round 0 is
+    the cold round; later rounds hit the workers' resident caches.
     """
     import asyncio
     import tempfile

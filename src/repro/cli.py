@@ -113,7 +113,6 @@ def _make_checker(
     time_limit: Optional[float],
     verbose: bool = False,
     cache_dir: Optional[str] = None,
-    use_shm: Optional[bool] = None,
     sched: str = "auto",
 ):
     on_phase = _phase_printer if verbose else None
@@ -151,7 +150,7 @@ def _make_checker(
         )
     if engine == "parallel":
         return ParallelPortfolioChecker(
-            time_limit=time_limit, cache_dir=cache_dir, use_shm=use_shm
+            time_limit=time_limit, cache_dir=cache_dir
         )
     raise ValueError(f"unknown engine {engine!r}")
 
@@ -165,7 +164,6 @@ def cmd_cec(args: argparse.Namespace) -> int:
         args.time_limit,
         args.verbose,
         cache_dir=args.cache,
-        use_shm=False if args.no_shm else None,
         sched=args.sched,
     )
     tracer: Optional[Tracer] = None
@@ -273,7 +271,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         tenant_quota=args.tenant_quota,
         job_deadline=args.job_deadline,
         trace=args.trace is not None,
-        use_shm=False if args.no_shm else None,
         metrics_port=args.metrics_port,
         slo=args.slo,
         postmortem_dir=args.postmortem_dir,
@@ -437,12 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
         "artifacts)",
     )
     cec.add_argument(
-        "--no-shm", action="store_true",
-        help="disable the shared-memory data plane of the parallel "
-        "engine (payloads cross the result queues pickled instead; "
-        "equivalent to REPRO_SHM=0)",
-    )
-    cec.add_argument(
         "--log-level", default=None, choices=list(LEVELS),
         help="stderr diagnostic verbosity (default: info with "
         "--verbose, warning otherwise)",
@@ -530,7 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="dump a flight-recorder postmortem JSON here whenever a "
         "worker is killed for a crash or deadline",
     )
-    serve.add_argument("--no-shm", action="store_true")
     serve.add_argument("--log-level", default=None, choices=list(LEVELS))
     serve.add_argument(
         "--log-json", action="store_true",

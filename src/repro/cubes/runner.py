@@ -33,7 +33,6 @@ from repro.aig.network import Aig
 from repro.obs import get_tracer
 from repro.sat.cnf import CnfBuilder
 from repro.sat.solver import SatSolver, SolveStatus
-from repro.shm import SegmentDescriptor, adopt_aig
 
 from repro.cubes.split import Cube, cofactor, patch_pattern
 from repro.exec import (
@@ -60,14 +59,12 @@ def _solver_deadline(deadline_epoch: Optional[float]) -> Optional[float]:
 def run_cube_job(message: Dict, ctx) -> Dict:
     """Loop-mode job handler: solve one cofactor of the shipped cone.
 
-    The cone arrives either as a segment reference (``"aig_ref"``,
-    adopted zero-copy off the run registry) or inline (``"aig"``).  The
-    cofactor under the job's cube is built locally — constant
-    propagation through :func:`~repro.cubes.split.cofactor` is exactly
-    what makes the sub-problem cheaper than the monolith — and the
-    query "some PO is 1" is solved under the job's conflict/deadline
-    budgets.  A model is patched back into original-input space before
-    it is returned.
+    The cone arrives in the job's payload (``"aig"``).  The cofactor
+    under the job's cube is built locally — constant propagation through
+    :func:`~repro.cubes.split.cofactor` is exactly what makes the
+    sub-problem cheaper than the monolith — and the query "some PO is 1"
+    is solved under the job's conflict/deadline budgets.  A model is
+    patched back into original-input space before it is returned.
 
     ``"delay"`` (seconds) is a test-only knob that parks the job before
     solving, giving the staged-kill tests a deterministic slow loser.
@@ -76,35 +73,17 @@ def run_cube_job(message: Dict, ctx) -> Dict:
     if delay > 0.0:
         time.sleep(delay)
     cube = Cube.from_list(message.get("cube") or [])
-    adoption = None
-    try:
-        aig = message.get("aig")
-        ref = message.get("aig_ref")
-        if aig is None and isinstance(ref, SegmentDescriptor):
-            if ctx.registry is None:
-                raise RuntimeError(
-                    "received a segment descriptor without a registry"
-                )
-            adoption = ctx.registry.adopt(ref)
-            aig = adopt_aig(adoption)
-        if aig is None:
-            raise ValueError("cube job carries neither 'aig' nor 'aig_ref'")
-        with get_tracer().span(
-            "cubes.job", category="cubes", cube=str(cube)
-        ):
-            cof = cofactor(aig, cube)
-            reply = _solve_cofactor(
-                cof,
-                cube,
-                conflict_limit=message.get("conflict_limit"),
-                deadline=_solver_deadline(message.get("deadline_epoch")),
-            )
-        reply["cube"] = cube.as_list()
-        reply["ands"] = cof.num_ands
-        return reply
-    finally:
-        if adoption is not None:
-            ctx.registry.release(adoption)
+    with get_tracer().span("cubes.job", category="cubes", cube=str(cube)):
+        cof = cofactor(message["aig"], cube)
+        reply = _solve_cofactor(
+            cof,
+            cube,
+            conflict_limit=message.get("conflict_limit"),
+            deadline=_solver_deadline(message.get("deadline_epoch")),
+        )
+    reply["cube"] = cube.as_list()
+    reply["ands"] = cof.num_ands
+    return reply
 
 
 def _solve_cofactor(
@@ -294,12 +273,7 @@ class CubeRunner:
             if deadline is not None
             else None
         )
-        descriptor = runtime.publish_aig(aig)
-        base: Dict = {}
-        if descriptor is not None:
-            base["aig_ref"] = descriptor
-        else:
-            base["aig"] = aig
+        base: Dict = {"aig": aig}
         if conflict_limit is not None:
             base["conflict_limit"] = conflict_limit
         if deadline_epoch is not None:
@@ -351,8 +325,6 @@ class CubeRunner:
                 stats["seconds"] = time.perf_counter() - start
                 span.set("winner", stats["winner"] or "-")
                 span.set("status", outcome.status if outcome else "unknown")
-                if descriptor is not None and runtime.registry is not None:
-                    runtime.registry.unpublish(descriptor)
         outcome.stats = stats
         return outcome
 

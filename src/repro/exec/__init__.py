@@ -2,21 +2,20 @@
 
 Before this layer existed, the parallel portfolio and the serve daemon
 had independently re-grown the same worker-lifecycle machinery: spawn,
-staged SIGTERM → SIGKILL termination, warm respawn, shm publish → adopt
-→ release, trace/flight-ring merging, late-message spill drains.  The
+staged SIGTERM → SIGKILL termination, warm respawn, trace/flight-ring
+merging, late-message spill drains.  The
 cube-and-conquer fan-out (ROADMAP item 3) would have forced a third
 copy.  ``repro.exec`` is the one implementation all three ride on:
 
 - :mod:`repro.exec.cancel` — cancellation tokens with normalised reason
   strings ("timeout" vs "cancelled") and first-winner cancel groups;
-- :mod:`repro.exec.transport` — shm-backed job/result transport:
-  residues and sidebands as segments, queue-teardown spill files,
-  parent-side reference resolution;
+- :mod:`repro.exec.transport` — the pickled job/result transport:
+  residues with their carried sweep state, queue-teardown spill files;
 - :mod:`repro.exec.worker` — the child-process entrypoint, in one-shot
   (racing portfolio engine) and loop-forever (warm serve/cube worker)
   modes, with SIGTERM→exception conversion and flight recording;
-- :mod:`repro.exec.runtime` — the parent side: registry lifecycle,
-  spawn/stop/respawn, bounded polling, unified result absorption;
+- :mod:`repro.exec.runtime` — the parent side: spawn/stop/respawn,
+  bounded polling, trace merging and the late-message drain;
 - :mod:`repro.exec.board` — a parent-side work-stealing job backlog
   (jobs commit to a worker only when it goes idle, so cancelling a
   queued job never costs a kill).
@@ -36,21 +35,16 @@ from repro.exec.cancel import (
     normalize_reason,
 )
 from repro.exec.runtime import (
-    SHM_ENV,
     START_METHOD_ENV,
     ExecRuntime,
     WorkerHandle,
     resolve_start_method,
-    resolve_use_shm,
     stop_process_staged,
 )
 from repro.exec.transport import (
-    attach_sideband,
     collect_spilled_messages,
     pack_residue,
-    pool_from_adoption,
     post_message,
-    unpack_message,
 )
 from repro.exec.worker import WorkerContext, WorkerTerminated, exec_worker_main
 
@@ -62,20 +56,15 @@ __all__ = [
     "JobBoard",
     "REASON_CANCELLED",
     "REASON_TIMEOUT",
-    "SHM_ENV",
     "START_METHOD_ENV",
     "WorkerContext",
     "WorkerHandle",
     "WorkerTerminated",
-    "attach_sideband",
     "collect_spilled_messages",
     "exec_worker_main",
     "normalize_reason",
     "pack_residue",
-    "pool_from_adoption",
     "post_message",
     "resolve_start_method",
-    "resolve_use_shm",
     "stop_process_staged",
-    "unpack_message",
 ]

@@ -1,24 +1,19 @@
-"""The parent side of the job runtime: registry, spawn, stop, absorb.
+"""The parent side of the job runtime: spawn, stop, poll, drain.
 
 :class:`ExecRuntime` owns everything both pools used to duplicate:
 
-- resolution of the multiprocessing start method and the shared-memory
-  plane (:func:`resolve_start_method`, :func:`resolve_use_shm`);
-- the run's :class:`~repro.shm.SegmentRegistry` (parent = reaper) and
-  the orphan sweep that precedes it;
+- resolution of the multiprocessing start method
+  (:func:`resolve_start_method`);
 - worker spawn in one-shot or loop mode, each with a
   :class:`~repro.exec.cancel.CancelToken`, staged SIGTERM → SIGKILL
   stops (:func:`stop_process_staged`), and warm respawn;
-- the result queue with bounded polling, reference resolution
-  (:func:`~repro.exec.transport.unpack_message`), worker-trace
-  re-basing, per-worker flight rings, and the late-message /
-  spill-file drain;
-- leak-free teardown: registry reap, queue close, spill-dir removal.
+- the result queue with bounded polling, worker-trace re-basing,
+  per-worker flight rings, and the late-message / spill-file drain;
+- leak-free teardown: queue close, spill-dir removal.
 
 Policies hold :class:`WorkerHandle` records (or subclasses carrying
 their own bookkeeping) and decide *what* to spawn and *when* to stop
-it; the runtime is the only code that touches processes, queues and
-segments.
+it; the runtime is the only code that touches processes and queues.
 """
 
 from __future__ import annotations
@@ -34,47 +29,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.obs import FlightRecorder, get_tracer
-from repro.shm import (
-    SegmentDescriptor,
-    SegmentRegistry,
-    aig_shm_arrays,
-    reap_orphans,
-    shm_available,
-)
-from repro.sweep.classes import SharedPool
 
 from repro.exec.cancel import CancelGroup, CancelToken
-from repro.exec.transport import (
-    collect_spilled_messages,
-    stamp_pool,
-    unpack_message,
-)
+from repro.exec.transport import collect_spilled_messages
 from repro.exec.worker import exec_worker_main
 
 #: Environment variable overriding the multiprocessing start method
 #: (used by CI to run the suite under ``spawn``).
 START_METHOD_ENV = "REPRO_MP_START_METHOD"
-
-#: Environment variable disabling the shared-memory data plane
-#: (``REPRO_SHM=0`` forces the legacy pickled-queue payload path).
-SHM_ENV = "REPRO_SHM"
-
-
-def resolve_use_shm(requested: Optional[bool] = None) -> bool:
-    """Decide whether a run uses the shared-memory data plane.
-
-    Resolution order: explicit ``requested`` argument, then the
-    ``REPRO_SHM`` environment variable (``0``/``false``/``off``/``no``
-    disables), then on-by-default.  Either way the plane is only used
-    when the platform actually offers POSIX shared memory.
-    """
-    if requested is not None:
-        return bool(requested) and shm_available()
-    flag = os.environ.get(SHM_ENV, "").strip().lower()
-    if flag in ("0", "false", "off", "no"):
-        return False
-    return shm_available()
-
 
 def resolve_start_method(requested: Optional[str] = None) -> str:
     """Pick the multiprocessing start method for a pool.
@@ -159,12 +121,12 @@ class WorkerHandle:
 
 
 class ExecRuntime:
-    """One run's (or one daemon's) process/segment/queue plane.
+    """One run's (or one daemon's) process and queue plane.
 
     Parameters
     ----------
-    start_method / use_shm:
-        See :func:`resolve_start_method` / :func:`resolve_use_shm`.
+    start_method:
+        See :func:`resolve_start_method`.
     trace:
         Workers record their own span timelines and ship them for the
         parent tracer to re-base.
@@ -182,7 +144,6 @@ class ExecRuntime:
     def __init__(
         self,
         start_method: Optional[str] = None,
-        use_shm: Optional[bool] = None,
         trace: bool = False,
         terminate_grace: float = 1.0,
         spill: bool = False,
@@ -191,13 +152,11 @@ class ExecRuntime:
     ) -> None:
         self.context = mp.get_context(resolve_start_method(start_method))
         self.start_method = resolve_start_method(start_method)
-        self.use_shm = resolve_use_shm(use_shm)
         self.trace = trace
         self.terminate_grace = terminate_grace
         self.spill = spill
         self.flight = flight
         self.flight_capacity = flight_capacity
-        self.registry: Optional[SegmentRegistry] = None
         self.result_queue: Optional["mp.Queue"] = None
         self.spill_dir: Optional[str] = None
         self._flight: Dict[int, FlightRecorder] = {}
@@ -208,20 +167,9 @@ class ExecRuntime:
     # ------------------------------------------------------------------
 
     def open(self) -> "ExecRuntime":
-        """Open the plane: orphan sweep, registry, queue, spill dir."""
+        """Open the plane: result queue and spill dir."""
         if self._opened:
             return self
-        if self.use_shm:
-            try:
-                # Blocks stranded by a long-dead parent (SIGKILL, power
-                # loss) have no reaper left; sweep them opportunistically.
-                reap_orphans()
-            except Exception:
-                pass
-            try:
-                self.registry = SegmentRegistry()
-            except Exception:
-                self.registry = None
         self.result_queue = self.context.Queue()
         if self.spill:
             try:
@@ -232,14 +180,7 @@ class ExecRuntime:
         return self
 
     def close(self) -> None:
-        """Tear the plane down leak-free (idempotent).
-
-        The registry reap unlinks every segment of the run — including
-        those of SIGKILLed workers — whatever state they died in.
-        """
-        if self.registry is not None:
-            self.registry.reap()
-            self.registry = None
+        """Tear the plane down leak-free (idempotent)."""
         if self.result_queue is not None:
             self.result_queue.close()
             self.result_queue.cancel_join_thread()
@@ -249,32 +190,6 @@ class ExecRuntime:
             self.spill_dir = None
         self._opened = False
 
-    def publish_aig(
-        self,
-        aig,
-        pool: Optional[SharedPool] = None,
-        disable_on_error: bool = False,
-    ) -> Optional[SegmentDescriptor]:
-        """Publish a miter (plus optional pattern pool) as a segment.
-
-        Returns ``None`` when the plane is off or publishing fails; with
-        ``disable_on_error`` a failure also reaps and drops the registry
-        (the portfolio's all-or-nothing posture — one payload for every
-        worker), without it the caller just falls back to shipping this
-        one payload inline (the serve per-job posture).
-        """
-        if self.registry is None:
-            return None
-        try:
-            arrays, meta = aig_shm_arrays(aig)
-            stamp_pool(arrays, meta, pool)
-            return self.registry.publish(arrays=arrays, meta=meta)
-        except Exception:
-            if disable_on_error:
-                self.registry.reap()
-                self.registry = None
-            return None
-
     # ------------------------------------------------------------------
     # Workers
     # ------------------------------------------------------------------
@@ -283,10 +198,6 @@ class ExecRuntime:
         return {
             "trace": self.trace,
             "trace_name": trace_name,
-            "shm_token": (
-                self.registry.token if self.registry is not None else None
-            ),
-            "run_pid": os.getpid(),
             "spill_path": handle.spill_path,
             "flight": self.flight,
             "flight_capacity": min(self.flight_capacity, 128),
@@ -398,10 +309,6 @@ class ExecRuntime:
             return self.result_queue.get(timeout=max(timeout, 0.0))
         except (queue_module.Empty, OSError, ValueError):
             return None
-
-    def absorb(self, message: Dict) -> Dict:
-        """Resolve a raw message's segment references (see transport)."""
-        return unpack_message(message, self.registry)
 
     def merge_trace(self, message: Dict) -> None:
         """Re-base a worker's span timeline onto the parent tracer."""

@@ -1,13 +1,12 @@
-"""Shm-backed job/result transport shared by every process pool.
+"""Job/result transport shared by every process pool.
 
-Messages between a pool parent and its workers are small dicts; the big
-payloads (miters, residues, carried :class:`~repro.sweep.state.SweepState`
-arrays, pickled report/trace/cache sidebands) ride :mod:`repro.shm`
-segments whenever a registry is available, and fall back to the pickled
-queue layout otherwise.  The parent-side inverse
-(:func:`unpack_message`) resolves the references back into domain
-objects under the legacy keys, so policy code sees one message layout
-regardless of the plane.
+Messages between a pool parent and its workers are dicts pickled on
+``multiprocessing`` queues: miters and cofactor cones travel in the job
+payloads, and results carry their report, trace and cache delta inline.
+An UNDECIDED residue rides back together with the engine's carried
+:class:`~repro.sweep.state.SweepState` when the state still owns it, so
+a finisher adopts its signatures without re-simulating
+(:func:`pack_residue`).
 
 A worker whose result queue is already torn down (parent killed
 mid-grace) spills its message to a per-worker file instead of dropping
@@ -20,97 +19,27 @@ import os
 import pickle
 from typing import Dict, Iterator, Optional
 
-from repro.obs import get_tracer
-from repro.shm import adopt_aig
-from repro.sweep.classes import SharedPool
 from repro.sweep.engine import CecResult, CecStatus
 from repro.sweep.state import SweepState
 
 
-def pool_from_adoption(adoption) -> Optional[SharedPool]:
-    """Rebuild the shared pool from an adopted miter segment, if present.
-
-    The pool words stay a read-only view of the segment — safe because
-    :meth:`~repro.sweep.classes.SimulationState.add_cex_patterns`
-    replaces the matrix wholesale instead of writing it in place.
-    """
-    words = adoption.arrays.get("pi_words")
-    info = adoption.meta.get("pool")
-    if words is None or not info:
-        return None
-    try:
-        return SharedPool(
-            pi_words=words,
-            num_pis=int(adoption.meta["num_pis"]),
-            num_random_words=int(info["num_random_words"]),
-            seed=int(info["seed"]),
-            strategy=str(info["strategy"]),
-            num_cex=int(info.get("num_cex", 0)),
-        )
-    except (KeyError, TypeError, ValueError):
-        return None
-
-
-def stamp_pool(arrays: Dict, meta: Dict, pool: Optional[SharedPool]) -> None:
-    """Attach a pattern pool to a miter segment's arrays/meta in place."""
-    if pool is None:
-        return
-    arrays["pi_words"] = pool.pi_words
-    meta["pool"] = {
-        "num_random_words": pool.num_random_words,
-        "seed": pool.seed,
-        "strategy": pool.strategy,
-        "num_cex": pool.num_cex,
-    }
-
-
-def pack_residue(message: Dict, result: CecResult, registry) -> None:
+def pack_residue(message: Dict, result: CecResult) -> None:
     """Attach an UNDECIDED result's residue to the outbound message.
 
-    On the data plane the residue is published as a segment — together
-    with the engine's carried :class:`SweepState` when the state still
-    owns that residue, so the parent (and the SAT finisher after it) can
-    adopt signatures, pattern pool and origin map without re-simulating.
-    Without a registry (or if publishing fails) the residue rides the
-    queue pickled, as it always has.
+    When the engine's carried :class:`SweepState` still owns the residue
+    it rides along as ``sim_state``, and the residue is the state's own
+    network, so the queue pickles the miter once and the parent (and the
+    SAT finisher after it) adopts signatures, pattern pool and origin
+    map as they are.
     """
-    from repro.shm import aig_shm_arrays
-
     residue = result.reduced_miter
     if residue is None or result.status is not CecStatus.UNDECIDED:
         return
-    if registry is not None:
-        state = result.sim_state
-        try:
-            if isinstance(state, SweepState) and state.matches(residue):
-                arrays, meta = state.to_shm_arrays()
-            else:
-                arrays, meta = aig_shm_arrays(residue)
-            message["state_ref"] = registry.publish(arrays=arrays, meta=meta)
-            return
-        except Exception:
-            pass  # segment allocation failed: fall back to pickling
+    state = result.sim_state
+    if isinstance(state, SweepState) and state.matches(residue):
+        message["sim_state"] = state
+        residue = state.network()
     message["residue"] = residue
-
-
-def attach_sideband(message: Dict, sideband: Dict, registry) -> None:
-    """Ship the bulky message parts (report/trace/cache) out of band.
-
-    On the data plane the sideband is pickled once into a blob segment
-    and the message carries only its descriptor; otherwise the entries
-    are inlined into the queue message (the legacy layout — the parent
-    accepts both).
-    """
-    if not sideband:
-        return
-    if registry is not None:
-        try:
-            blob = pickle.dumps(sideband, protocol=pickle.HIGHEST_PROTOCOL)
-            message["sideband_ref"] = registry.publish(blob=blob)
-            return
-        except Exception:
-            pass  # fall back to the inline layout
-    message.update(sideband)
 
 
 def post_message(queue, message: Dict, spill_path: Optional[str]) -> None:
@@ -137,50 +66,6 @@ def post_message(queue, message: Dict, spill_path: Optional[str]) -> None:
         os.replace(staging, spill_path)
     except Exception:
         pass  # no queue and no spill target: the message is lost
-
-
-def unpack_message(message: Dict, registry) -> Dict:
-    """Resolve a message's segment references into domain objects.
-
-    On the data plane a worker message carries descriptors instead of
-    payloads: ``sideband_ref`` (pickled report/trace/cache blob) and
-    ``state_ref`` (residue arrays, optionally a full carried
-    :class:`SweepState`).  Both are adopted here — the state by mapping,
-    not copying — and folded back into the message under the legacy
-    keys, so everything downstream sees one layout.  Traced runs also
-    account the message's queue-borne size under ``ipc.bytes_pickled``.
-    """
-    tracer = get_tracer()
-    if tracer.enabled:
-        try:
-            tracer.metrics.counter_add(
-                "ipc.bytes_pickled",
-                len(pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)),
-            )
-        except Exception:
-            pass
-    ref = message.pop("sideband_ref", None)
-    if ref is not None and registry is not None:
-        try:
-            adoption = registry.adopt(ref)
-            sideband = pickle.loads(adoption.blob.tobytes())
-            registry.release(adoption)
-            message.update(sideband)
-        except Exception:
-            pass  # worker died mid-publish: sideband is lost
-    ref = message.pop("state_ref", None)
-    if ref is not None and registry is not None:
-        try:
-            adoption = registry.adopt(ref)
-            if ref.meta.get("kind") == "sweep_state":
-                sweep = SweepState.attach(adoption.arrays, ref.meta)
-                message["residue"] = sweep.network()
-                message["sim_state"] = sweep
-            else:
-                message["residue"] = adopt_aig(adoption)
-        except Exception:
-            pass  # worker died mid-publish: residue is lost
-    return message
 
 
 def collect_spilled_messages(spill_dir: Optional[str]) -> Iterator[Dict]:

@@ -18,16 +18,14 @@ spawns, in two modes:
   if the process is SIGKILLed next.
 
 The *policy* lives in the handler the parent passes in: a callable
-``handler(payload, ctx) -> message`` that adopts its inputs through
-``ctx.registry``, runs the domain work, and returns the reply dict
-(bulky parts under the ``"_sideband"`` key — the runtime ships them out
-of band).  The handler must be a module-level function so it pickles
-under the ``spawn`` start method.
+``handler(payload, ctx) -> message`` that runs the domain work on its
+payload and returns the reply dict, which reaches the parent pickled on
+the result queue.  The handler must be a module-level function so it
+pickles under the ``spawn`` start method.
 """
 
 from __future__ import annotations
 
-import os
 import signal
 import time
 import traceback
@@ -41,9 +39,8 @@ from repro.obs import (
     get_tracer,
     set_tracer,
 )
-from repro.shm import SegmentRegistry, set_active_registry, shm_available
 
-from repro.exec.transport import attach_sideband, post_message
+from repro.exec.transport import post_message
 
 
 class WorkerTerminated(BaseException):
@@ -70,45 +67,22 @@ class WorkerContext:
     """What a job handler sees of the runtime inside the child process.
 
     ``resident`` is the handler's scratch dict surviving across jobs of
-    a loop-mode worker — the serve policy keeps per-tenant caches,
-    pattern pools and cost models in it, which is the whole point of a
-    warm worker.
+    a loop-mode worker — the serve policy keeps per-tenant caches and
+    cost models in it, which is the whole point of a warm worker.
     """
 
-    __slots__ = ("index", "registry", "tracer", "recorder", "resident")
+    __slots__ = ("index", "tracer", "recorder", "resident")
 
     def __init__(
         self,
         index: int,
-        registry: Optional[SegmentRegistry] = None,
         tracer: Optional[Tracer] = None,
         recorder: Optional[FlightRecorder] = None,
     ) -> None:
         self.index = index
-        self.registry = registry
         self.tracer = tracer
         self.recorder = recorder
         self.resident: Dict = {}
-
-
-def _join_registry(index: int, cfg: Dict) -> Optional[SegmentRegistry]:
-    """Join the run's shared-memory plane, if the parent opened one.
-
-    Segments this worker creates are stamped with the *parent's* pid:
-    the parent registry is the reaper, so another daemon's orphan sweep
-    must key liveness off the parent, not the worker.  The worker never
-    unlinks anything — which is what makes a SIGKILL at any point here
-    leak-free.
-    """
-    token = cfg.get("shm_token")
-    if token is None or not shm_available():
-        return None
-    run_pid = cfg.get("run_pid")
-    return SegmentRegistry(
-        token=token,
-        suffix=f"w{index}",
-        owner_pid=run_pid if run_pid is not None else os.getppid(),
-    )
 
 
 def exec_worker_main(
@@ -124,8 +98,7 @@ def exec_worker_main(
     ``inbox`` is the job payload itself in one-shot mode and an
     ``mp.Queue`` of payloads in loop mode.  ``cfg`` keys: ``trace``
     (record a span timeline), ``trace_name`` (tracer process name,
-    defaults to ``worker:{index}``), ``shm_token``/``run_pid`` (join the
-    parent's segment registry), ``spill_path`` (where a one-shot result
+    defaults to ``worker:{index}``), ``spill_path`` (where a one-shot result
     goes if the queue is already torn down), ``flight``/
     ``flight_capacity`` (loop mode: per-worker flight recorder).
     """
@@ -137,19 +110,13 @@ def exec_worker_main(
             process_name=cfg.get("trace_name") or f"worker:{index}"
         )
         set_tracer(tracer)
-    registry = _join_registry(index, cfg)
-    if registry is not None:
-        set_active_registry(registry)
-    ctx = WorkerContext(index, registry=registry, tracer=tracer)
+    ctx = WorkerContext(index, tracer=tracer)
     try:
         if mode == "oneshot":
             _run_oneshot(handler, inbox, result_queue, ctx, cfg)
         else:
             _run_loop(handler, inbox, result_queue, ctx, cfg)
     finally:
-        if registry is not None:
-            set_active_registry(None)
-            registry.close()
         try:
             # The result is out: a SIGTERM landing while the interpreter
             # flushes queue feeder threads at exit must not re-raise
@@ -176,22 +143,18 @@ def _run_oneshot(
         with get_tracer().span("worker.job", category="worker"):
             _hold_sigterm(False)
             message = handler(payload, ctx)
-        sideband = message.pop("_sideband", {})
     except WorkerTerminated:
         message = {"status": "terminated"}
-        sideband = {}
     except BaseException as error:  # surface crashes as structured data
         message = {
             "status": "error",
             "message": repr(error),
             "traceback": traceback.format_exc(),
         }
-        sideband = {}
     message["index"] = ctx.index
     message.setdefault("seconds", time.perf_counter() - start)
     if ctx.tracer is not None:
-        sideband["trace"] = ctx.tracer.export_payload()
-    attach_sideband(message, sideband, ctx.registry)
+        message["trace"] = ctx.tracer.export_payload()
     post_message(queue, message, spill_path)
 
 

@@ -266,7 +266,7 @@ class Tracer:
             events.append(event)
         # Final counter values as Chrome counter ("C") events, stamped at
         # the end of the timeline so trace viewers plot the run totals and
-        # tools/check_trace.py can assert over them (e.g. --require-shm).
+        # tools/check_trace.py can assert over them (e.g. --require-cubes).
         counters = getattr(self.metrics, "counters", None)
         if counters:
             end_ts = 0.0

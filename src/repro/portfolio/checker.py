@@ -76,7 +76,6 @@ class CombinedChecker:
         sat_checker: Optional[SatSweepChecker] = None,
         transfer_ecs: bool = True,
         cache: Optional[SweepCache] = None,
-        initial_pool=None,
         sched: str = "auto",
         cost_model=None,
     ) -> None:
@@ -88,9 +87,7 @@ class CombinedChecker:
             cache if cache is not None
             else SweepCache.from_config(config.cache if config else None)
         )
-        self.engine = SimSweepEngine(
-            config, cache=self.cache, initial_pool=initial_pool
-        )
+        self.engine = SimSweepEngine(config, cache=self.cache)
         self.sat_checker = sat_checker or SatSweepChecker(cache=self.cache)
         if self.sat_checker.cache is None and self.cache is not None:
             self.sat_checker.cache = self.cache
@@ -123,8 +120,8 @@ class CombinedChecker:
 
         ``state`` is an optional carried
         :class:`~repro.sweep.state.SweepState` for ``miter`` — the shape
-        the parallel portfolio's finisher hand-off delivers after
-        adopting a residue off the shared-memory data plane.  A state
+        the parallel portfolio's finisher hand-off delivers with a
+        residue shipped on the result queue.  A state
         that owns the miter means the simulation phases already ran on
         it upstream, so the front-end engine is skipped and the SAT
         sweeper adopts the carried signatures directly (zero

@@ -2,9 +2,9 @@
 
 A fault-tolerant portfolio is only as good as its tests: these checkers
 deterministically reproduce the failure modes the orchestrator must
-survive — a worker that hangs past its budget, a worker that crashes,
-and a worker that dies holding shared-memory segments.  They are
-registered as the ``"sleep"``, ``"crash"`` and ``"leak"`` spec kinds in
+survive — a worker that hangs past its budget (optionally deaf to
+SIGTERM, so only SIGKILL stops it) and a worker that crashes.  They are
+registered as the ``"sleep"`` and ``"crash"`` spec kinds in
 :func:`repro.portfolio.parallel.build_checker` so they stay importable
 under every multiprocessing start method (a test-local registry would
 not survive ``spawn``).
@@ -15,8 +15,6 @@ from __future__ import annotations
 import signal
 import time
 
-import numpy as np
-
 from repro.aig.miter import build_miter
 from repro.aig.network import Aig
 from repro.sweep.engine import CecResult, CecStatus
@@ -26,11 +24,16 @@ class SleepingChecker:
     """Never answers within ``seconds``: models a hung or slow engine.
 
     Returns UNDECIDED (with the unreduced miter) if the sleep ever
-    completes, so an unbudgeted run still terminates.
+    completes, so an unbudgeted run still terminates.  With
+    ``ignore_sigterm`` the staged termination is forced all the way to
+    SIGKILL, so not even an exception path runs in the worker.
     """
 
-    def __init__(self, seconds: float = 3600.0) -> None:
+    def __init__(
+        self, seconds: float = 3600.0, ignore_sigterm: bool = False
+    ) -> None:
         self.seconds = seconds
+        self.ignore_sigterm = ignore_sigterm
 
     def check(self, aig_a: Aig, aig_b: Aig) -> CecResult:
         """Check two networks for equivalence (builds the miter)."""
@@ -38,6 +41,11 @@ class SleepingChecker:
 
     def check_miter(self, miter: Aig) -> CecResult:
         """Sleep for the configured duration, then give up."""
+        if self.ignore_sigterm:
+            try:
+                signal.signal(signal.SIGTERM, signal.SIG_IGN)
+            except (ValueError, OSError):
+                pass
         time.sleep(self.seconds)
         return CecResult(CecStatus.UNDECIDED, reduced_miter=miter)
 
@@ -55,48 +63,3 @@ class CrashingChecker:
     def check_miter(self, miter: Aig) -> CecResult:
         """Raise the configured fault."""
         raise RuntimeError(self.message)
-
-
-class LeakingChecker:
-    """Publishes segments it never announces, then hangs.
-
-    Models the worst crash the data plane must survive: a worker that
-    allocated shared-memory blocks and died before its descriptors ever
-    reached the parent.  With ``ignore_sigterm`` the staged termination
-    is forced all the way to SIGKILL, so not even an exception path runs
-    — reaping those segments is entirely on the parent registry's
-    run-prefix sweep.
-    """
-
-    def __init__(
-        self,
-        seconds: float = 3600.0,
-        nbytes: int = 1 << 16,
-        segments: int = 1,
-        ignore_sigterm: bool = False,
-    ) -> None:
-        self.seconds = seconds
-        self.nbytes = nbytes
-        self.segments = segments
-        self.ignore_sigterm = ignore_sigterm
-
-    def check(self, aig_a: Aig, aig_b: Aig) -> CecResult:
-        """Check two networks for equivalence (builds the miter)."""
-        return self.check_miter(build_miter(aig_a, aig_b))
-
-    def check_miter(self, miter: Aig) -> CecResult:
-        """Leak segments into the run's data plane, then sleep."""
-        if self.ignore_sigterm:
-            try:
-                signal.signal(signal.SIGTERM, signal.SIG_IGN)
-            except (ValueError, OSError):
-                pass
-        from repro.shm import get_active_registry
-
-        registry = get_active_registry()
-        if registry is not None:
-            junk = np.arange(max(1, self.nbytes // 8), dtype=np.uint64)
-            for _ in range(self.segments):
-                registry.publish(arrays={"junk": junk})
-        time.sleep(self.seconds)
-        return CecResult(CecStatus.UNDECIDED, reduced_miter=miter)

@@ -6,9 +6,8 @@ simultaneously and early stop when an engine finishes" (§IV-A) on up to
 architecture with one OS process per engine, racing to the first
 conclusive answer.
 
-The process/segment/queue machinery — spawn-safe start-method
-resolution, staged SIGTERM → SIGKILL budgets, the zero-copy
-shared-memory data plane, late-message spill drains — lives in
+The process/queue machinery — spawn-safe start-method resolution,
+staged SIGTERM → SIGKILL budgets, late-message spill drains — lives in
 :mod:`repro.exec`; this module is the *policy*: which engines to race,
 how to score their messages into a
 :class:`~repro.sweep.report.PortfolioReport`, when to cancel the rest,
@@ -38,8 +37,8 @@ from __future__ import annotations
 import inspect
 import time
 import traceback
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, fields
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from repro.aig.miter import build_miter
 from repro.aig.network import Aig
@@ -53,20 +52,12 @@ from repro.exec import (
     normalize_reason,
 )
 from repro.exec import (  # noqa: F401  (re-exported compat surface)
-    SHM_ENV,
     START_METHOD_ENV,
-    pool_from_adoption,
     resolve_start_method,
-    resolve_use_shm,
     stop_process_staged,
 )
-from repro.exec.transport import (  # noqa: F401  (compat alias)
-    pack_residue as _pack_residue,
-    post_message as _post_message,
-)
+from repro.exec.transport import pack_residue
 from repro.obs import get_tracer
-from repro.shm import SegmentDescriptor, adopt_aig, detach_aig
-from repro.sweep.classes import SharedPool
 from repro.sweep.engine import CecResult, CecStatus
 from repro.sweep.report import (
     EngineFailure,
@@ -108,9 +99,36 @@ class PortfolioError(RuntimeError):
 
 
 #: The engine specs a serve job may name.  :func:`build_checker` also
-#: builds the fault injectors (``sleep``, ``crash``, ``leak``), which
-#: only tests may reach.
+#: builds the fault injectors (``sleep``, ``crash``), which only tests
+#: may reach.
 SERVED_ENGINES = ("combined", "sim", "sat", "bdd")
+
+
+def served_engine_kwargs(engine: str) -> FrozenSet[str]:
+    """The ``engine_kwargs`` keys a serve job may pass to ``engine``.
+
+    Read off the checker's own configuration: the :class:`EngineConfig`
+    fields for ``sim`` (plus ``sched`` for ``combined``), the constructor
+    parameters for ``sat`` and ``bdd``.  ``cache`` is never a client's to
+    choose: the serve worker injects the tenant's knowledge cache.
+    """
+    if engine in ("sim", "combined"):
+        from repro.sweep.config import EngineConfig
+
+        keys = {f.name for f in fields(EngineConfig)}
+        if engine == "combined":
+            keys.add("sched")
+    elif engine == "sat":
+        from repro.sat.sweeping import SatSweepChecker
+
+        keys = set(inspect.signature(SatSweepChecker).parameters)
+    elif engine == "bdd":
+        from repro.bdd.cec import BddChecker
+
+        keys = set(inspect.signature(BddChecker).parameters)
+    else:
+        raise ValueError(f"{engine!r} is not a served engine")
+    return frozenset(keys - {"cache"})
 
 
 def build_checker(
@@ -118,7 +136,6 @@ def build_checker(
     cache_dir: Optional[str] = None,
     cache_readonly: bool = False,
     cache: Optional[SweepCache] = None,
-    initial_pool: Optional[SharedPool] = None,
     cost_model=None,
 ):
     """Instantiate a checker from a picklable spec.
@@ -130,12 +147,10 @@ def build_checker(
     deltas are never written back (portfolio workers — the parent merges
     their deltas on join instead).  ``cache`` injects an already-loaded
     cache object instead (serve workers keep theirs resident across
-    jobs); it wins over ``cache_dir``.  ``initial_pool`` hands the
-    simulation engines a pre-generated pattern pool (typically mapped
-    out of a shared-memory segment) so they skip regenerating it.
-    ``cost_model`` hands the combined checker an externally-owned lane
-    cost model (serve workers keep one resident per tenant, so the
-    adaptive scheduler stays calibrated across jobs).
+    jobs); it wins over ``cache_dir``.  ``cost_model`` hands the
+    combined checker an externally-owned lane cost model (serve workers
+    keep one resident per tenant, so the adaptive scheduler stays
+    calibrated across jobs).
     """
     kind, kwargs = spec[0], spec[1]
 
@@ -152,11 +167,7 @@ def build_checker(
         from repro.sweep.config import EngineConfig
         from repro.sweep.engine import SimSweepEngine
 
-        return SimSweepEngine(
-            EngineConfig(**kwargs),
-            cache=knowledge_cache(),
-            initial_pool=initial_pool,
-        )
+        return SimSweepEngine(EngineConfig(**kwargs), cache=knowledge_cache())
     if kind == "combined":
         from repro.portfolio.checker import CombinedChecker
         from repro.sweep.config import EngineConfig
@@ -167,7 +178,6 @@ def build_checker(
         return CombinedChecker(
             config=config,
             cache=knowledge_cache(),
-            initial_pool=initial_pool,
             sched=sched,
             cost_model=cost_model,
         )
@@ -191,85 +201,36 @@ def build_checker(
         from repro.portfolio.faults import CrashingChecker
 
         return CrashingChecker(**kwargs)
-    if kind == "leak":
-        from repro.portfolio.faults import LeakingChecker
-
-        return LeakingChecker(**kwargs)
     raise ValueError(f"unknown engine spec {kind!r}")
-
-
-def shared_pool_for_specs(
-    specs: Sequence[EngineSpec], num_pis: int
-) -> Optional[SharedPool]:
-    """Generate the run's shared pattern pool, if any engine wants one.
-
-    The pool parameters come from the first simulation-capable spec
-    (``sim``/``combined``); workers whose own config differs simply fail
-    the :meth:`SharedPool.compatible` check and regenerate locally, so a
-    mixed portfolio stays correct.  Returns ``None`` when no spec runs
-    the simulation engine or the config cannot be built.
-    """
-    for spec in specs:
-        if spec[0] not in ("sim", "combined"):
-            continue
-        try:
-            from repro.sweep.config import EngineConfig
-
-            config = EngineConfig(**spec[1]) if spec[1] else EngineConfig()
-            return SharedPool.generate(
-                num_pis,
-                config.num_random_words,
-                config.seed,
-                config.pattern_strategy,
-            )
-        except Exception:
-            return None
-    return None
 
 
 def run_engine_job(payload: Dict, ctx) -> Dict:
     """One-shot job handler: run one engine on the miter, report once.
 
     Runs inside an :func:`repro.exec.worker.exec_worker_main` child.
-    With a segment-descriptor miter the worker adopts it zero-copy off
-    the run registry (pattern pool included); the checker gets a
-    *read-only* snapshot of the knowledge cache (no mid-run disk
-    contention) and ships the verdicts it accumulated back in the
-    sideband, so the parent can merge and persist them.  UNDECIDED
-    residues (and the carried sweep state, when it still owns them) are
-    published back as segments by :func:`~repro.exec.transport.pack_residue`.
+    The checker gets a *read-only* snapshot of the knowledge cache (no
+    mid-run disk contention) and ships the verdicts it accumulated back
+    on the result message, so the parent can merge and persist them.
+    UNDECIDED residues ride back with the carried sweep state, when it
+    still owns them (:func:`~repro.exec.transport.pack_residue`).
     """
     spec = payload["spec"]
     miter = payload["miter"]
-    initial_pool: Optional[SharedPool] = None
-    if isinstance(miter, SegmentDescriptor):
-        if ctx.registry is None:
-            raise RuntimeError(
-                "received a segment descriptor without a registry"
-            )
-        adoption = ctx.registry.adopt(miter)
-        initial_pool = pool_from_adoption(adoption)
-        miter = adopt_aig(adoption)
     checker = build_checker(
-        spec,
-        cache_dir=payload.get("cache_dir"),
-        cache_readonly=True,
-        initial_pool=initial_pool,
+        spec, cache_dir=payload.get("cache_dir"), cache_readonly=True
     )
     with get_tracer().span(
         f"engine:{spec[0]}", category="engine", engine=spec[0]
     ):
         result = checker.check_miter(miter)
     message: Dict = {"status": result.status.value, "cex": result.cex}
-    sideband: Dict = {}
     if isinstance(result.report, EngineReport):
-        sideband["report"] = result.report.as_dict()
+        message["report"] = result.report.as_dict()
     cache = getattr(checker, "cache", None)
     if cache is not None:
-        sideband["cache"] = cache.counters.as_dict()
-        sideband["cache_delta"] = list(cache.store.pending)
-    _pack_residue(message, result, ctx.registry)
-    message["_sideband"] = sideband
+        message["cache"] = cache.counters.as_dict()
+        message["cache_delta"] = list(cache.store.pending)
+    pack_residue(message, result)
     return message
 
 
@@ -284,8 +245,8 @@ class _WorkerState(WorkerHandle):
     #: Monotonic time the process was first observed dead without having
     #: posted a result (grace period for in-flight queue messages).
     dead_since: Optional[float] = None
-    #: Carried :class:`SweepState` adopted alongside an UNDECIDED
-    #: residue (shared-memory runs only).
+    #: Carried :class:`SweepState` shipped alongside an UNDECIDED
+    #: residue.
     sim_state: Optional[SweepState] = None
 
 
@@ -322,12 +283,6 @@ class ParallelPortfolioChecker:
         pre-seeded with a read-only snapshot; their verdict deltas ride
         back on the result messages and the parent merges and persists
         them — concurrent workers never write the store directly.
-    use_shm:
-        Whether to run the zero-copy shared-memory data plane
-        (:mod:`repro.shm`).  ``None`` (the default) resolves via the
-        ``REPRO_SHM`` environment variable, then defaults to on where
-        POSIX shared memory exists; see
-        :func:`repro.exec.resolve_use_shm`.
 
     Raises
     ------
@@ -349,7 +304,6 @@ class ParallelPortfolioChecker:
         finisher_time_limit: float = 5.0,
         terminate_grace: float = 1.0,
         cache_dir: Optional[str] = None,
-        use_shm: Optional[bool] = None,
     ) -> None:
         self.engines = list(engines) if engines is not None else list(
             DEFAULT_ENGINES
@@ -382,14 +336,8 @@ class ParallelPortfolioChecker:
         #: Residue left by the last finisher run (smaller than the input
         #: when the finisher made partial progress).
         self._finisher_residue: Optional[Aig] = None
-        self.use_shm = resolve_use_shm(use_shm)
-        #: Live job runtime of the current run (parent = segment reaper).
+        #: Live job runtime of the current run.
         self._runtime: Optional[ExecRuntime] = None
-
-    @property
-    def _registry(self):
-        runtime = self._runtime
-        return runtime.registry if runtime is not None else None
 
     def check(self, aig_a: Aig, aig_b: Aig) -> CecResult:
         """Check two networks for equivalence (builds the miter)."""
@@ -401,7 +349,6 @@ class ParallelPortfolioChecker:
         trace = tracer.enabled
         runtime = ExecRuntime(
             start_method=self.start_method,
-            use_shm=self.use_shm,
             trace=trace,
             terminate_grace=self.terminate_grace,
             spill=True,
@@ -411,20 +358,6 @@ class ParallelPortfolioChecker:
         report = PortfolioReport(start_method=runtime.start_method)
         self.report = report
         self.winner = None
-
-        worker_payload: Union[Aig, SegmentDescriptor] = miter
-        if runtime.registry is not None:
-            # Generate the initial PI pattern pool once and ship it
-            # read-only with the miter instead of regenerating it per
-            # worker.  Publish failure drops the whole plane: one
-            # payload layout for every worker.
-            descriptor = runtime.publish_aig(
-                miter,
-                pool=shared_pool_for_specs(self.engines, miter.num_pis),
-                disable_on_error=True,
-            )
-            if descriptor is not None:
-                worker_payload = descriptor
 
         workers: List[_WorkerState] = []
         for index, spec in enumerate(self.engines):
@@ -441,7 +374,7 @@ class ParallelPortfolioChecker:
                 run_engine_job,
                 payload={
                     "spec": spec,
-                    "miter": worker_payload,
+                    "miter": miter,
                     "cache_dir": self.cache_dir,
                 },
                 trace_name=f"worker:{spec[0]}",
@@ -513,7 +446,7 @@ class ParallelPortfolioChecker:
                 report.winner = self.winner
                 report.total_seconds = time.monotonic() - started_at
                 verdict.report = report
-                return self._detach_result(verdict)
+                return verdict
 
             self._cancel_remaining(
                 workers, "timeout" if timed_out else "cancelled"
@@ -535,7 +468,7 @@ class ParallelPortfolioChecker:
                 if finished is not None:
                     report.total_seconds = time.monotonic() - started_at
                     finished.report = report
-                    return self._detach_result(finished)
+                    return finished
                 if (
                     self._finisher_residue is not None
                     and self._finisher_residue.num_ands
@@ -545,15 +478,13 @@ class ParallelPortfolioChecker:
                     best_state = None
 
             report.total_seconds = time.monotonic() - started_at
-            return self._detach_result(
-                CecResult(
-                    CecStatus.UNDECIDED,
-                    reduced_miter=(
-                        best_residue if best_residue is not None else miter
-                    ),
-                    report=report,
-                    sim_state=best_state,
-                )
+            return CecResult(
+                CecStatus.UNDECIDED,
+                reduced_miter=(
+                    best_residue if best_residue is not None else miter
+                ),
+                report=report,
+                sim_state=best_state,
             )
         finally:
             if sampler is not None:
@@ -607,27 +538,6 @@ class ParallelPortfolioChecker:
             timeout = min(timeout, max(0.0, min(deadlines) - now))
         return timeout
 
-    def _detach_result(self, result: CecResult) -> CecResult:
-        """Copy a result off the data plane before the registry reaps.
-
-        Anything returned to the caller must own its memory: the
-        ``finally`` block unlinks and unmaps every segment of the run,
-        which would invalidate borrowed views.  Detaching copies exactly
-        the arrays that are still views (carried knowledge survives) and
-        is a no-op on queue-path runs.
-        """
-        if self._registry is None:
-            return result
-        state = result.sim_state
-        if isinstance(state, SweepState):
-            network = state.network()
-            state.detach()
-            if result.reduced_miter is network:
-                result.reduced_miter = state.network()
-        if result.reduced_miter is not None:
-            result.reduced_miter = detach_aig(result.reduced_miter)
-        return result
-
     def _record_message(
         self, state: _WorkerState, message: Dict
     ) -> Union[CecResult, Aig, None]:
@@ -638,7 +548,6 @@ class ParallelPortfolioChecker:
         """
         runtime = self._runtime
         if runtime is not None:
-            message = runtime.absorb(message)
             runtime.merge_trace(message)
         # A worker posts at most one message, so trace and cache deltas
         # are safe to fold in even when the record is already settled
@@ -786,11 +695,11 @@ class ParallelPortfolioChecker:
         are recorded on the report, never raised — the portfolio still
         has its UNDECIDED answer to return.
 
-        ``state`` is the carried :class:`SweepState` adopted with the
-        residue off the data plane; a finisher whose ``check_miter``
-        accepts a ``state`` argument (the SAT sweeper does) picks up the
-        segment-mapped signatures and pattern pool directly instead of
-        re-simulating the residue from scratch.
+        ``state`` is the carried :class:`SweepState` that rode the result
+        queue with the residue; a finisher whose ``check_miter`` accepts
+        a ``state`` argument (the SAT sweeper does) picks up its carried
+        signatures and pattern pool directly instead of re-simulating
+        the residue from scratch.
         """
         self._finisher_residue: Optional[Aig] = None
         if self.finisher is None:

@@ -1,7 +1,7 @@
 """CEC-as-a-service: a daemon with a persistent warm worker pool.
 
-One-shot ``cec`` invocations pay process spawn, module import, knowledge
--cache load and PI pattern-pool generation on every query.  For
+One-shot ``cec`` invocations pay process spawn, module import and
+knowledge-cache load on every query.  For
 workloads that check many miters against the same design family —
 regression farms, incremental synthesis loops — those fixed costs
 dominate.  ``repro.serve`` amortises them:
@@ -10,8 +10,8 @@ dominate.  ``repro.serve`` amortises them:
   speaking the length-prefixed JSON protocol of
   :mod:`repro.serve.protocol`;
 - :mod:`repro.serve.pool` — persistent worker processes that keep
-  per-tenant knowledge caches, compiled engine structures and pattern
-  pools hot across queries, fed zero-copy through :mod:`repro.shm`;
+  per-tenant knowledge caches and scheduler cost models hot across
+  queries, fed miters pickled on their inbox queues;
 - :mod:`repro.serve.tenants` — per-tenant cache namespaces backed by
   sharded proof stores (:mod:`repro.cache.sharding`);
 - :mod:`repro.serve.admission` — bounded queues, ``busy`` backpressure,

@@ -1,15 +1,13 @@
 """The persistent warm worker pool behind the serve daemon.
 
-One-shot portfolio runs pay fork/spawn, module import, cache load and
-pattern-pool generation on *every* query.  The pool amortises all four:
-worker processes are spawned once (loop mode of
-:func:`repro.exec.worker.exec_worker_main`) and stay resident, keeping
-per-tenant knowledge caches, engine structures and PI pattern pools hot
-across queries.  Miters travel to workers zero-copy through the
-:mod:`repro.shm` data plane (one published segment per job, unpublished
-as soon as its result lands), and verdict deltas travel back on the
-result queue for the parent to merge into the tenant caches and persist
-— exactly the parent-merges ownership model of the parallel portfolio.
+One-shot portfolio runs pay fork/spawn, module import and cache load on
+*every* query.  The pool amortises all three: worker processes are
+spawned once (loop mode of :func:`repro.exec.worker.exec_worker_main`)
+and stay resident, keeping per-tenant knowledge caches and scheduler
+cost models hot across queries.  Miters travel to workers pickled on
+their inbox queues, and verdict deltas travel back on the result queue
+for the parent to merge into the tenant caches and persist — exactly
+the parent-merges ownership model of the parallel portfolio.
 
 Process lifecycle, flight rings and queue plumbing live in
 :mod:`repro.exec`; this module is the serving *policy*.  Jobs queue on
@@ -40,18 +38,9 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.aig.network import Aig
 from repro.cache.config import CacheConfig
 from repro.cache.knowledge import SweepCache
-from repro.exec import (
-    CancelToken,
-    ExecRuntime,
-    JobBoard,
-    WorkerHandle,
-    pool_from_adoption,
-)
+from repro.exec import CancelToken, ExecRuntime, JobBoard, WorkerHandle
 from repro.obs import MetricsRegistry, ResourceSampler, get_tracer
 from repro.portfolio.parallel import build_checker
-from repro.shm import adopt_aig
-from repro.sweep.classes import SharedPool
-from repro.sweep.config import EngineConfig
 from repro.serve.tenants import DEFAULT_TENANT, TenantManager
 
 __all__ = ["ServeJob", "ServeResult", "WorkerPool"]
@@ -132,126 +121,58 @@ def _load_worker_cache(
     return cached
 
 
-def _resident_pool(
-    pools: Dict[Tuple, SharedPool],
-    adopted: Optional[SharedPool],
-    spec: Tuple[str, Dict],
-    num_pis: int,
-) -> Optional[SharedPool]:
-    """The worker-resident pattern pool for one miter shape.
-
-    First preference is the pool already resident from an earlier query
-    (fully warm).  Otherwise the pool shipped in the job's segment is
-    copied once off the mapping and kept — the segment is unpublished
-    after the job, so the resident copy must own its words.  Workers
-    never regenerate patterns a parent already generated.
-    """
-    if spec[0] not in ("sim", "combined"):
-        return None
-    try:
-        config = EngineConfig(**spec[1]) if spec[1] else EngineConfig()
-    except Exception:
-        return None
-    key = (
-        num_pis,
-        int(config.num_random_words),
-        int(config.seed),
-        str(config.pattern_strategy),
-    )
-    resident = pools.get(key)
-    if resident is not None:
-        return resident
-    if adopted is not None and adopted.compatible(config, num_pis):
-        resident = SharedPool(
-            pi_words=adopted.pi_words.copy(),
-            num_pis=adopted.num_pis,
-            num_random_words=adopted.num_random_words,
-            seed=adopted.seed,
-            strategy=adopted.strategy,
-            num_cex=adopted.num_cex,
-        )
-    else:
-        resident = SharedPool.generate(
-            num_pis,
-            config.num_random_words,
-            config.seed,
-            config.pattern_strategy,
-        )
-    pools[key] = resident
-    return resident
-
-
 def run_serve_job(message: Dict, ctx) -> Dict:
-    """Loop-mode job handler: adopt, check, report, stay warm.
+    """Loop-mode job handler: check, report, stay warm.
 
     Runs inside an :func:`repro.exec.worker.exec_worker_main` loop
-    worker.  Resident state (per-tenant caches and cost models, pattern
-    pools per miter shape) lives in ``ctx.resident`` and survives across
-    jobs — that is what makes a warm worker warm.  Per-job failures
-    raise; the worker main reports and survives them: one malformed
-    miter must not cost the pool a warm worker.
+    worker.  Resident state (per-tenant caches and cost models) lives in
+    ``ctx.resident`` and survives across jobs — that is what makes a
+    warm worker warm.  Per-job failures raise; the worker main reports
+    and survives them: one malformed miter must not cost the pool a
+    warm worker.
     """
     resident = ctx.resident
     caches: Dict[Tuple[str, int], SweepCache] = resident.setdefault(
         "caches", {}
     )
-    pools: Dict[Tuple, SharedPool] = resident.setdefault("pools", {})
     # Per-tenant adaptive-scheduler cost models: lane latency histograms
     # calibrated on one tenant's workload stay warm across its jobs, so
     # repeat submissions dispatch with a trained model from pair one.
     cost_models: Dict[str, object] = resident.setdefault("cost_models", {})
-    adoption = None
-    registry = ctx.registry
-    try:
-        ref = message.get("miter_ref")
-        if ref is not None:
-            if registry is None:
-                raise RuntimeError("segment descriptor without a registry")
-            adoption = registry.adopt(ref)
-            shipped_pool = pool_from_adoption(adoption)
-            miter = adopt_aig(adoption)
-        else:
-            shipped_pool = None
-            miter = message["miter"]
-        spec = tuple(message["spec"])
-        cache = _load_worker_cache(caches, message.get("cache"))
-        pool = _resident_pool(pools, shipped_pool, spec, miter.num_pis)
-        snapshot = cache.snapshot() if cache is not None else None
-        cost_model = None
-        if spec[0] == "combined":
-            from repro.sched import CostModel
+    miter = message["miter"]
+    spec = tuple(message["spec"])
+    cache = _load_worker_cache(caches, message.get("cache"))
+    snapshot = cache.snapshot() if cache is not None else None
+    cost_model = None
+    if spec[0] == "combined":
+        from repro.sched import CostModel
 
-            tenant = message.get("tenant", DEFAULT_TENANT)
-            cost_model = cost_models.get(tenant)
-            if cost_model is None:
-                cost_model = CostModel()
-                cost_models[tenant] = cost_model
-        checker = build_checker(
-            spec, cache=cache, initial_pool=pool, cost_model=cost_model
-        )
-        with get_tracer().span(
-            "serve.job",
-            category="serve",
-            job=message.get("job"),
-            engine=spec[0],
-        ):
-            result = checker.check_miter(miter)
-        reply: Dict[str, object] = {
-            "status": result.status.value,
-            "cex": result.cex,
-        }
-        if cache is not None:
-            delta = cache.counters.diff(snapshot)
-            reply["hits"] = delta.hits
-            reply["lookups"] = delta.lookups
-            reply["cache_delta"] = list(cache.store.pending)
-            # The delta now belongs to the parent; keep only the
-            # in-memory entries (they are what makes us warm).
-            cache.store.clear_pending()
-        return reply
-    finally:
-        if adoption is not None:
-            registry.release(adoption)
+        tenant = message.get("tenant", DEFAULT_TENANT)
+        cost_model = cost_models.get(tenant)
+        if cost_model is None:
+            cost_model = CostModel()
+            cost_models[tenant] = cost_model
+    checker = build_checker(spec, cache=cache, cost_model=cost_model)
+    with get_tracer().span(
+        "serve.job",
+        category="serve",
+        job=message.get("job"),
+        engine=spec[0],
+    ):
+        result = checker.check_miter(miter)
+    reply: Dict[str, object] = {
+        "status": result.status.value,
+        "cex": result.cex,
+    }
+    if cache is not None:
+        delta = cache.counters.diff(snapshot)
+        reply["hits"] = delta.hits
+        reply["lookups"] = delta.lookups
+        reply["cache_delta"] = list(cache.store.pending)
+        # The delta now belongs to the parent; keep only the
+        # in-memory entries (they are what makes us warm).
+        cache.store.clear_pending()
+    return reply
 
 
 # ----------------------------------------------------------------------
@@ -268,7 +189,6 @@ class _Inflight:
     worker: int
     submitted: float
     deadline_at: Optional[float]
-    descriptor: Optional[object] = None
     token: Optional[CancelToken] = None
 
 
@@ -287,7 +207,7 @@ class WorkerPool:
         deadline).  A worker past it is reaped and respawned warm.
     terminate_grace:
         SIGTERM → SIGKILL escalation grace, as in the portfolio.
-    start_method / use_shm / trace:
+    start_method / trace:
         As for :class:`~repro.portfolio.parallel.ParallelPortfolioChecker`.
     slo:
         Optional :class:`~repro.serve.telemetry.SloRegistry`; when set,
@@ -315,7 +235,6 @@ class WorkerPool:
         job_deadline: Optional[float] = None,
         terminate_grace: float = 1.0,
         start_method: Optional[str] = None,
-        use_shm: Optional[bool] = None,
         trace: bool = False,
         slo: Optional[Any] = None,
         postmortem_dir: Optional[str] = None,
@@ -328,7 +247,6 @@ class WorkerPool:
         self.job_deadline = job_deadline
         self.terminate_grace = terminate_grace
         self.start_method = start_method
-        self.use_shm = use_shm
         self.trace = trace
         # With tracing on, pool counters land in the ambient tracer's
         # registry (one merged timeline+metrics dump).  Without it the
@@ -347,9 +265,6 @@ class WorkerPool:
         self._inflight: Dict[int, _Inflight] = {}
         self._results: Dict[int, ServeResult] = {}
         self._next_job_id = 0
-        #: Parent-side pools generated once per miter shape and shipped
-        #: read-only with every job segment.
-        self._pools: Dict[Tuple, SharedPool] = {}
         self._sampler: Optional[ResourceSampler] = None
         #: Paths of postmortem artifacts written this run.
         self.postmortems: List[str] = []
@@ -357,10 +272,6 @@ class WorkerPool:
         #: Set while ``shutdown`` runs: workers exiting on the bye
         #: sentinel are orderly, not crashes to respawn and postmortem.
         self._draining = False
-
-    @property
-    def registry(self):
-        return self._runtime.registry if self._runtime is not None else None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -371,7 +282,6 @@ class WorkerPool:
             return
         self._runtime = ExecRuntime(
             start_method=self.start_method,
-            use_shm=self.use_shm,
             trace=self.trace,
             terminate_grace=self.terminate_grace,
             flight=True,
@@ -405,9 +315,7 @@ class WorkerPool:
 
         With ``drain`` the pool first waits (up to ``timeout``) for
         in-flight jobs; workers then get the sentinel and a join grace
-        before the staged SIGTERM → SIGKILL path runs.  The runtime's
-        registry reap at the end guarantees zero leaked segments,
-        whatever state the workers died in.
+        before the staged SIGTERM → SIGKILL path runs.
         """
         if not self.started:
             return
@@ -460,18 +368,12 @@ class WorkerPool:
         )
         payload: Dict[str, object] = {
             "job": job_id,
+            "miter": job.miter,
             "spec": (job.engine, dict(job.engine_kwargs)),
             "cache": self.tenants.worker_config(job.tenant),
             "tenant": job.tenant,
             "meta": {"tenant": job.tenant, "engine": job.engine},
         }
-        descriptor = self._runtime.publish_aig(
-            job.miter, pool=self._shared_pool(job)
-        )
-        if descriptor is not None:
-            payload["miter_ref"] = descriptor
-        else:
-            payload["miter"] = job.miter
         deadline = job.deadline if job.deadline is not None else self.job_deadline
         token = CancelToken(f"job{job_id}")
         self._inflight[job_id] = _Inflight(
@@ -481,7 +383,6 @@ class WorkerPool:
             deadline_at=(
                 time.monotonic() + deadline if deadline is not None else None
             ),
-            descriptor=descriptor,
             token=token,
         )
         self._board.add(job_id, payload, token=token, affinity=worker.index)
@@ -496,35 +397,6 @@ class WorkerPool:
         )
         self._dispatch()
         return job_id
-
-    def _shared_pool(self, job: ServeJob) -> Optional[SharedPool]:
-        """The once-generated pattern pool for this job's miter shape."""
-        if job.engine not in ("sim", "combined"):
-            return None
-        try:
-            config = (
-                EngineConfig(**job.engine_kwargs)
-                if job.engine_kwargs
-                else EngineConfig()
-            )
-        except Exception:
-            return None
-        key = (
-            job.miter.num_pis,
-            int(config.num_random_words),
-            int(config.seed),
-            str(config.pattern_strategy),
-        )
-        pool = self._pools.get(key)
-        if pool is None:
-            pool = SharedPool.generate(
-                job.miter.num_pis,
-                config.num_random_words,
-                config.seed,
-                config.pattern_strategy,
-            )
-            self._pools[key] = pool
-        return pool
 
     def _dispatch(self) -> None:
         """Commit board jobs to idle workers (own queue, then steal)."""
@@ -594,7 +466,6 @@ class WorkerPool:
         if job_id in worker.assigned:
             worker.assigned.remove(job_id)
         worker.jobs_done += 1
-        self._release_segment(entry)
         delta = message.get("cache_delta")
         if delta:
             self.tenants.merge_delta(entry.job.tenant, delta)
@@ -623,14 +494,6 @@ class WorkerPool:
         self._dispatch_worker(worker)
         return result
 
-    def _release_segment(self, entry: _Inflight) -> None:
-        if entry.descriptor is not None and self.registry is not None:
-            try:
-                self.registry.unpublish(entry.descriptor)
-            except Exception:
-                pass
-            entry.descriptor = None
-
     def _settle_error(
         self,
         job_id: int,
@@ -640,7 +503,6 @@ class WorkerPool:
         deadline_miss: bool = False,
     ) -> ServeResult:
         """Resolve one job as an error result (kill, crash, expiry)."""
-        self._release_segment(entry)
         if entry.token is not None:
             entry.token.cancel(reason)
         result = ServeResult(
@@ -884,7 +746,6 @@ class WorkerPool:
             "deadline_kills": int(
                 self.metrics.counter_value("serve.deadline_kills")
             ),
-            "shm": self.registry is not None,
             "postmortems": self.postmortems[-self._POSTMORTEM_STATS:],
             "per_worker": [
                 {

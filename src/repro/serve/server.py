@@ -22,7 +22,7 @@ Request ops
     :class:`~repro.obs.metrics.MetricsRegistry` counter dump.
 ``shutdown``
     Graceful drain: stop admitting, finish in-flight jobs, stop the
-    pool (reaping every shm segment), close the listener.
+    pool, close the listener.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import time
 from typing import Dict, List, Optional, Sequence
 
 from repro.obs import Tracer, encode_prometheus, get_tracer, read_rss_bytes, set_tracer
-from repro.portfolio.parallel import SERVED_ENGINES
+from repro.portfolio.parallel import SERVED_ENGINES, served_engine_kwargs
 from repro.serve.admission import AdmissionController, AdmissionError
 from repro.serve.pool import ServeJob, WorkerPool
 from repro.serve.protocol import (
@@ -104,7 +104,6 @@ class CecServer:
         tenant_quota: Optional[int] = None,
         job_deadline: Optional[float] = None,
         trace: bool = False,
-        use_shm: Optional[bool] = None,
         start_method: Optional[str] = None,
         metrics_port: Optional[int] = None,
         slo: Optional[Sequence[str]] = None,
@@ -130,7 +129,6 @@ class CecServer:
             workers=workers,
             tenants=self.tenants,
             job_deadline=job_deadline,
-            use_shm=use_shm,
             start_method=start_method,
             trace=trace,
             slo=self.slo,
@@ -363,6 +361,12 @@ class CecServer:
         kwargs = entry.get("engine_kwargs", {})
         if not isinstance(kwargs, dict):
             raise ProtocolError("job 'engine_kwargs' must be an object")
+        unknown = sorted(set(kwargs) - served_engine_kwargs(engine))
+        if unknown:
+            raise ProtocolError(
+                f"engine {engine!r} takes no engine_kwargs "
+                f"{', '.join(map(repr, unknown))}"
+            )
         deadline = entry.get("deadline")
         if deadline is not None:
             deadline = float(deadline)

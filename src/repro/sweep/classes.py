@@ -235,28 +235,6 @@ class SimulationState:
             num_pis, num_random_words, seed, strategy
         )
         self._cex_patterns: List[Sequence[int]] = []
-        #: Counter-example patterns already folded into ``pi_words`` by a
-        #: previous incarnation of this pool (shared-memory adoption).
-        self._cex_carried = 0
-
-    @classmethod
-    def from_pool(
-        cls, num_pis: int, pi_words: np.ndarray, num_cex: int = 0
-    ) -> "SimulationState":
-        """Wrap an existing pattern-word matrix without regenerating it.
-
-        Used when adopting a pool out of a shared-memory segment: the
-        words (random initials plus every CEX found so far) already
-        exist, possibly as a read-only view over the segment buffer.
-        ``num_cex`` records how many of the packed patterns came from
-        counter-examples, so :attr:`num_cex` stays truthful.
-        """
-        state = cls.__new__(cls)
-        state.num_pis = num_pis
-        state.pi_words = pi_words
-        state._cex_patterns = []
-        state._cex_carried = num_cex
-        return state
 
     @property
     def num_patterns(self) -> int:
@@ -266,7 +244,7 @@ class SimulationState:
     @property
     def num_cex(self) -> int:
         """Number of counter-example patterns added so far."""
-        return len(self._cex_patterns) + getattr(self, "_cex_carried", 0)
+        return len(self._cex_patterns)
 
     def add_cex_patterns(
         self,
@@ -310,70 +288,3 @@ class SimulationState:
         if tables is None:
             tables = self.tables(miter)
         return EquivalenceClasses.from_tables(tables)
-
-
-@dataclass
-class SharedPool:
-    """An initial pattern pool generated once and shared read-only.
-
-    The portfolio parent (or the serve daemon) generates the pool a
-    single time and ships the word matrix to every simulation worker
-    through the :mod:`repro.shm` data plane; each engine then wraps it in
-    a *fresh* :class:`SimulationState` instead of regenerating identical
-    random words per process.  Sharing only the base ndarray is safe
-    because :meth:`SimulationState.add_cex_patterns` hstack-replaces
-    ``pi_words`` — the shared matrix is never written in place.
-
-    ``num_cex`` is nonzero when the pool already folded in
-    counter-examples from a previous run (warm serving).
-    """
-
-    pi_words: np.ndarray
-    num_pis: int
-    num_random_words: int
-    seed: int
-    strategy: str
-    num_cex: int = 0
-
-    @classmethod
-    def generate(
-        cls,
-        num_pis: int,
-        num_random_words: int = 32,
-        seed: int = 2025,
-        strategy: str = "random",
-    ) -> "SharedPool":
-        """Generate the initial pool once (the parent-side call)."""
-        words = initial_patterns(num_pis, num_random_words, seed, strategy)
-        return cls(
-            pi_words=words,
-            num_pis=num_pis,
-            num_random_words=num_random_words,
-            seed=seed,
-            strategy=strategy,
-        )
-
-    def compatible(self, config, num_pis: int) -> bool:
-        """True when an engine with ``config`` would generate this pool.
-
-        Engines are deterministic given their pool parameters, so a pool
-        is adoptable exactly when the PI count and the three generation
-        parameters match — a mismatched pool would silently change the
-        engine's verdict trajectory.
-        """
-        return (
-            num_pis == self.num_pis
-            and int(config.num_random_words) == self.num_random_words
-            and int(config.seed) == self.seed
-            and str(config.pattern_strategy) == self.strategy
-        )
-
-    def simulation_state(self) -> SimulationState:
-        """A fresh :class:`SimulationState` wrapper over the shared words.
-
-        Each run must get its own wrapper: the wrapper's CEX list is
-        mutated per run, while the underlying word matrix is shared.
-        """
-        return SimulationState.from_pool(
-            self.num_pis, self.pi_words, num_cex=self.num_cex
-        )

@@ -42,7 +42,7 @@ from repro.simulation.exhaustive import (
 )
 from repro.simulation.merging import merge_windows
 from repro.simulation.window import Pair, Window, build_window
-from repro.sweep.classes import SharedPool, SimulationState
+from repro.sweep.classes import SimulationState
 from repro.sweep.config import EngineConfig
 from repro.sweep.disproof import find_po_disproof
 from repro.sweep.provers import cut_pass, prove_full_support
@@ -112,18 +112,13 @@ class SimSweepEngine:
         config: Optional[EngineConfig] = None,
         on_phase=None,
         cache: Optional[SweepCache] = None,
-        initial_pool: Optional["SharedPool"] = None,
     ) -> None:
         """``on_phase`` is an optional callback invoked with each
         completed :class:`~repro.sweep.report.PhaseRecord` — progress
         reporting for long runs (the CLI's ``--verbose``).  ``cache``
         injects an existing :class:`~repro.cache.SweepCache` (so several
         checkers can share one store); by default the engine builds its
-        own from ``config.cache``.  ``initial_pool`` injects a
-        pre-generated :class:`~repro.sweep.classes.SharedPool` (typically
-        mapped out of a shared-memory segment) so the engine skips
-        regenerating the random pattern words — adopted only when
-        :meth:`SharedPool.compatible` says the parameters match."""
+        own from ``config.cache``."""
         self.config = config or EngineConfig()
         self.config.validate()
         self.on_phase = on_phase
@@ -131,7 +126,6 @@ class SimSweepEngine:
             cache if cache is not None
             else SweepCache.from_config(self.config.cache)
         )
-        self.initial_pool = initial_pool
 
     # ------------------------------------------------------------------
     # Public API
@@ -169,12 +163,6 @@ class SimSweepEngine:
             seed=self.config.seed,
             strategy=self.config.pattern_strategy,
         )
-        pool = self.initial_pool
-        if pool is not None and pool.compatible(self.config, state.num_pis):
-            # Adopt the pre-generated (possibly shm-mapped) pattern pool
-            # instead of regenerating identical random words.
-            state.adopt_pool(pool.simulation_state())
-            tracer.metrics.counter_add("state.pool_adopted")
         simulator = ExhaustiveSimulator(self.config.memory_budget_words)
         cache_snapshot = (
             self.cache.snapshot() if self.cache is not None else None

@@ -68,10 +68,11 @@ def adopt_state(
     cleaned miter and any transferred pattern pool is adopted, so
     counter-examples found elsewhere pre-split the classes.
 
-    Verbatim adoption is the zero-re-simulation hand-off the
-    shared-memory data plane enables (a finisher maps another process's
-    carried state); it is counted as ``<counter>.state_adopted`` with
-    the carried signature words under ``<counter>.adopted_carried_words``.
+    Verbatim adoption is the zero-re-simulation hand-off of a portfolio
+    residue (a finisher adopts the carried state another process shipped
+    on the result queue); it is counted as ``<counter>.state_adopted``
+    with the carried signature words under
+    ``<counter>.adopted_carried_words``.
     """
     if isinstance(state, SweepState) and state.matches(miter):
         metrics = get_tracer().metrics

@@ -294,6 +294,11 @@ class SweepState:
                 )
         return self._tables
 
+    @property
+    def carried_words(self) -> int:
+        """Signature words currently carried (0 when none computed)."""
+        return 0 if self._tables is None else int(self._tables.size)
+
     def classes(
         self,
         miter: Optional[Aig] = None,
@@ -553,129 +558,6 @@ class SweepState:
         return self._salt
 
     # ------------------------------------------------------------------
-    # Shared-memory transport (repro.shm data plane)
-    # ------------------------------------------------------------------
-
-    @property
-    def carried_words(self) -> int:
-        """Signature words currently carried (0 when none computed)."""
-        return 0 if self._tables is None else int(self._tables.size)
-
-    def to_shm_arrays(self) -> Tuple[Dict[str, np.ndarray], Dict]:
-        """Flatten this state into segment arrays + picklable metadata.
-
-        The arrays are everything big: the miter's fanin tables and POs,
-        the PI pattern pool, the carried signature matrix, the salt
-        matrix, and the origin union-find.  Metadata stays descriptor
-        sized.  Derived-but-cheap knowledge (equivalence classes, cached
-        truth tables, the cache binding) is dropped, mirroring
-        :meth:`__getstate__`: classes re-cluster lazily from the carried
-        tables without any re-simulation.
-        """
-        fanin0, fanin1 = self._aig.fanin_literals()
-        arrays: Dict[str, np.ndarray] = {
-            "fanin0": fanin0,
-            "fanin1": fanin1,
-            "pos": np.asarray(self._aig.pos, dtype=np.int64),
-            "origin_literals": self.origin_literals,
-        }
-        if self._sim is not None:
-            arrays["pi_words"] = self._sim.pi_words
-        if self._tables is not None:
-            arrays["tables"] = self._tables
-        if self._salt is not None:
-            arrays["salt"] = self._salt
-        meta = {
-            "kind": "sweep_state",
-            "num_pis": int(self.num_pis),
-            "name": self._aig.name,
-            "num_random_words": self._num_random_words,
-            "seed": self._seed,
-            "strategy": self._strategy,
-            "num_cex": self.num_cex,
-            "origin_valid": bool(self.origin_valid),
-            "rebuilds": int(self.rebuilds),
-        }
-        return arrays, meta
-
-    @classmethod
-    def attach(
-        cls, arrays: Dict[str, np.ndarray], meta: Dict
-    ) -> "SweepState":
-        """Reconstruct a state *over* segment views — mapping, not copying.
-
-        The miter, pattern pool, signature matrix and salt matrix all
-        stay read-only views of the segment buffer; they are only ever
-        replaced wholesale (gather/hstack), never written in place, so
-        read-only sharing is safe.  :attr:`origin_literals` is the one
-        exception — :meth:`_carry_over` mutates it in place — so it gets
-        a private writable copy up front.
-
-        The caller owns the segment lifetime: call :meth:`detach` before
-        the mapping is released if the state (or its network) outlives
-        the segment.
-        """
-        aig = Aig(
-            int(meta["num_pis"]),
-            arrays["fanin0"],
-            arrays["fanin1"],
-            [int(po) for po in arrays["pos"]],
-            name=str(meta.get("name", "miter")),
-        )
-        state = cls(
-            aig,
-            num_random_words=int(meta.get("num_random_words", 32)),
-            seed=int(meta.get("seed", 2025)),
-            strategy=str(meta.get("strategy", "random")),
-        )
-        pi_words = arrays.get("pi_words")
-        if pi_words is not None:
-            state._sim = SimulationState.from_pool(
-                state.num_pis, pi_words, num_cex=int(meta.get("num_cex", 0))
-            )
-        tables = arrays.get("tables")
-        if tables is not None:
-            state._tables = tables
-        salt = arrays.get("salt")
-        if salt is not None:
-            state._salt = salt
-        state.origin_literals = np.array(
-            arrays["origin_literals"], dtype=np.int64, copy=True
-        )
-        state.origin_valid = bool(meta.get("origin_valid", False))
-        state.rebuilds = int(meta.get("rebuilds", 0))
-        return state
-
-    def detach(self) -> "SweepState":
-        """Divorce the state from any shared-memory segment it views.
-
-        Copies exactly the arrays that do not own their memory (network
-        fanins, pool words, signature/salt matrices) so the registry can
-        reap the backing segment while this state lives on.  A state that
-        already owns everything is returned unchanged — carried
-        knowledge is never dropped.  Returns ``self``.
-        """
-
-        def _owns(array: np.ndarray) -> bool:
-            return array.base is None or array.flags.owndata
-
-        fanin0, fanin1 = self._aig.fanin_literals()
-        if not (_owns(fanin0) and _owns(fanin1)):
-            self._aig = self._aig.copy()
-        if self._sim is not None and not _owns(self._sim.pi_words):
-            self._sim.pi_words = self._sim.pi_words.copy()
-        if self._tables is not None and not _owns(self._tables):
-            self._tables = self._tables.copy()
-        if self._salt is not None and not _owns(self._salt):
-            self._salt = self._salt.copy()
-        if not _owns(self.origin_literals):
-            self.origin_literals = self.origin_literals.copy()
-        # The cache binding references the pre-copy arrays; drop it so a
-        # later bind rebuilds over the owned ones.
-        self._bound = None
-        return self
-
-    # ------------------------------------------------------------------
     # Pickling (portfolio workers ship CecResult.sim_state)
     # ------------------------------------------------------------------
 
@@ -687,6 +569,8 @@ class SweepState:
             "_seed": self._seed,
             "_strategy": self._strategy,
             "_sim": self._sim,
+            "_tables": self._tables,
+            "_salt": self._salt,
             "origin_literals": self.origin_literals,
             "origin_valid": self.origin_valid,
             "rebuilds": self.rebuilds,
@@ -695,17 +579,17 @@ class SweepState:
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        # Derived knowledge is rebuilt lazily on the receiving side: the
-        # signature matrix can be large and the cache binding holds
-        # process-local resources, so neither crosses the wire.
-        self._tables = None
+        # The signature and salt matrices cross the wire, so a finisher
+        # adopts them without re-simulating.  Everything else is rebuilt
+        # lazily on the receiving side: classes re-cluster from the
+        # carried tables, and the cache binding holds process-local
+        # resources.
         self._classes = None
         self._feature_net = None
         self._feature_cap = -1
         self._feature_supports = None
         self._feature_levels = None
         self._classes_words = -1
-        self._salt = None
         self._bound = None
         self._table_carry = {}
         self._key_carry = {}

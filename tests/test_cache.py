@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 
 import pytest
 
@@ -515,3 +516,61 @@ def test_proof_store_clear_pending_keeps_entries():
     store.clear_pending()
     assert not store.pending
     assert store.get("k") is not None
+
+
+# ----------------------------------------------------------------------
+# Store file lock
+# ----------------------------------------------------------------------
+
+
+def test_filelock_closes_fd_when_flock_raises(tmp_path, monkeypatch):
+    from repro.cache import store as store_module
+
+    class _RaisingFcntl:
+        LOCK_EX = 2
+        LOCK_UN = 8
+
+        @staticmethod
+        def flock(fd, op):
+            raise OSError("contrived flock failure")
+
+    monkeypatch.setattr(store_module, "fcntl", _RaisingFcntl)
+    open_fds = len(os.listdir("/proc/self/fd"))
+    for _ in range(5):
+        with pytest.raises(OSError):
+            store_module._FileLock(str(tmp_path)).__enter__()
+    assert len(os.listdir("/proc/self/fd")) == open_fds
+
+
+def test_filelock_fallback_without_fcntl(tmp_path, monkeypatch):
+    from repro.cache import store as store_module
+
+    monkeypatch.setattr(store_module, "fcntl", None)
+    monkeypatch.setattr(store_module._FileLock, "_warned_no_fcntl", False)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with store_module._FileLock(str(tmp_path)):
+            excl = os.path.join(str(tmp_path), ".lock.excl")
+            assert os.path.exists(excl)
+        assert not os.path.exists(excl)
+        # Reacquirable after release, and the warning fires exactly once.
+        with store_module._FileLock(str(tmp_path)):
+            pass
+    assert (
+        sum(issubclass(w.category, RuntimeWarning) for w in caught) == 1
+    )
+
+
+def test_filelock_fallback_breaks_stale_claims(tmp_path, monkeypatch):
+    from repro.cache import store as store_module
+
+    monkeypatch.setattr(store_module, "fcntl", None)
+    monkeypatch.setattr(store_module._FileLock, "_warned_no_fcntl", True)
+    excl = os.path.join(str(tmp_path), ".lock.excl")
+    with open(excl, "w") as handle:
+        handle.write("99999")
+    stale = os.stat(excl).st_mtime - 120.0
+    os.utime(excl, (stale, stale))
+    with store_module._FileLock(str(tmp_path)):
+        pass  # the dead holder's claim was broken, not spun on forever
+    assert not os.path.exists(excl)

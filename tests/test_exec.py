@@ -2,10 +2,14 @@
 
 Covers the pieces the pools build their policies on: reason
 normalisation and cancellation tokens (``cancel``), first-winner
-groups, and the work-stealing :class:`~repro.exec.board.JobBoard` —
-plus the regression test for the kill-reason strings the parallel
-portfolio surfaces on its run records.
+groups, the work-stealing :class:`~repro.exec.board.JobBoard` and the
+queue-teardown spill files of the transport — plus the regression test
+for the kill-reason strings the parallel portfolio surfaces on its run
+records.
 """
+
+import os
+import pickle
 
 import pytest
 
@@ -18,6 +22,7 @@ from repro.exec.cancel import (
     CancelToken,
     normalize_reason,
 )
+from repro.exec.transport import post_message
 from repro.portfolio.parallel import ParallelPortfolioChecker
 from repro.sweep.engine import CecStatus
 from repro.synth.resyn import compress2
@@ -210,3 +215,59 @@ def test_parallel_budget_kill_reports_canonical_timeout():
     assert record.status == REASON_TIMEOUT
     if record.failure is not None:
         assert record.failure.reason == REASON_TIMEOUT
+
+
+# ----------------------------------------------------------------------
+# IPC spill path
+# ----------------------------------------------------------------------
+
+
+class _TornDownQueue:
+    def put(self, message):
+        raise ValueError("queue is closed")
+
+
+def test_post_message_spills_when_queue_is_gone(tmp_path):
+    spill = str(tmp_path / "worker0.msg")
+    message = {"index": 0, "status": "undecided", "seconds": 1.0}
+    post_message(_TornDownQueue(), message, spill)
+    with open(spill, "rb") as handle:
+        assert pickle.load(handle) == message
+    assert not os.path.exists(spill + ".tmp")
+
+
+def test_post_message_without_spill_path_drops_quietly():
+    post_message(_TornDownQueue(), {"index": 0}, None)
+
+
+def test_collect_spilled_messages():
+    """A message a worker spilled to disk reaches its record through the
+    runtime's late drain, as at the end of a portfolio run."""
+    from repro.exec import ExecRuntime
+    from repro.portfolio.parallel import _WorkerState
+    from repro.sweep.report import EngineRunRecord
+
+    checker = ParallelPortfolioChecker(engines=[("sim", {})])
+    record = EngineRunRecord(name="sim", status="running")
+    worker = _WorkerState(
+        index=0, name="sim", process=None, record=record, budget=None
+    )
+    workers = [worker]
+    runtime = ExecRuntime(spill=True).open()
+    try:
+        spill_dir = runtime.spill_dir
+        message = {"index": 0, "status": "undecided", "seconds": 0.5}
+        with open(os.path.join(spill_dir, "worker0.msg"), "wb") as handle:
+            pickle.dump(message, handle)
+        with open(os.path.join(spill_dir, "junk.txt"), "w") as handle:
+            handle.write("not a message")
+        runtime.drain_late(
+            lambda message: checker._record_message(
+                workers[message["index"]], message
+            ),
+            max_wait=0.1,
+        )
+    finally:
+        runtime.close()
+    assert record.status == "undecided"
+    assert record.seconds == 0.5

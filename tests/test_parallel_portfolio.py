@@ -1,12 +1,16 @@
 """Tests for the multiprocessing portfolio checker."""
 
+import glob
 import multiprocessing as mp
+import os
 import pickle
 
 import pytest
 
+from repro.aig.miter import build_miter
 from repro.aig.network import negate_outputs
 from repro.bench.generators import multiplier, voter
+from repro.obs import Tracer, use_tracer
 from repro.portfolio.parallel import (
     ParallelPortfolioChecker,
     PortfolioError,
@@ -18,6 +22,22 @@ from repro.sweep.report import PortfolioReport
 from repro.synth.resyn import compress2
 
 from conftest import random_aig
+
+SHM_DIR = "/dev/shm"
+
+
+def _run_segments():
+    if not os.path.isdir(SHM_DIR):
+        return []
+    return sorted(glob.glob(os.path.join(SHM_DIR, "rs*")))
+
+
+@pytest.fixture(autouse=True)
+def _no_leftover_segments():
+    """Every portfolio run must leave /dev/shm as clean as it found it."""
+    before = _run_segments()
+    yield
+    assert _run_segments() == before
 
 
 def test_aig_pickling_round_trip():
@@ -235,3 +255,80 @@ def test_explicit_spawn_run():
     result = checker.check(original, optimized)
     assert result.status is CecStatus.EQUIVALENT
     assert result.report.start_method == "spawn"
+
+
+# ---------------------------------------------------------------------------
+# Teardown hygiene and the residue hand-off
+# ---------------------------------------------------------------------------
+
+
+def test_parallel_run_leaves_no_segments():
+    original = voter(13)
+    optimized = compress2(original)
+    checker = ParallelPortfolioChecker(time_limit=120.0)
+    result = checker.check(original, optimized)
+    assert result.status is CecStatus.EQUIVALENT
+
+
+def test_parallel_repeated_runs_do_not_leak(tmp_path):
+    aig = random_aig(num_pis=6, num_nodes=50, num_pos=3, seed=42)
+    miter = build_miter(aig, aig)
+    checker = ParallelPortfolioChecker(
+        engines=[("sim", {})], time_limit=60.0, finisher=None
+    )
+    for _ in range(50):
+        result = checker.check_miter(miter)
+        assert result.status is CecStatus.EQUIVALENT
+        assert _run_segments() == []
+
+
+def test_sigkilled_sleeper_is_reaped():
+    """A worker that ignores SIGTERM is SIGKILLed once ``combined`` wins:
+    the staged stop escalates, and the run still returns its verdict."""
+    # voter(21) keeps ``combined`` busy for most of a second, well past
+    # the sleeper's start-up even under ``spawn``: a winner that finished
+    # first would stop the sleeper before it could ignore SIGTERM.
+    original = voter(21)
+    optimized = compress2(original)
+    tracer = Tracer("test")
+    with use_tracer(tracer):
+        checker = ParallelPortfolioChecker(
+            engines=[
+                ("sleep", {"seconds": 60.0, "ignore_sigterm": True}),
+                ("combined", {}),
+            ],
+            time_limit=120.0,
+            terminate_grace=0.2,
+        )
+        result = checker.check(original, optimized)
+    assert result.status is CecStatus.EQUIVALENT
+    assert result.report.record("sleep").status == "cancelled"
+    escalations = [
+        attrs.get("escalated")
+        for name, _, _, _, attrs in tracer.spans()
+        if name == "portfolio.terminate" and attrs.get("engine") == "sleep"
+    ]
+    assert escalations == ["SIGKILL"]
+
+
+def test_finisher_adopts_carried_state():
+    """The SAT finisher must adopt the residue's SweepState as shipped on
+    the result queue — sat.state_adopted counts, zero re-simulation."""
+    original = multiplier(5)
+    optimized = compress2(original)
+    tracer = Tracer("test")
+    with use_tracer(tracer):
+        checker = ParallelPortfolioChecker(
+            engines=[("sim", {
+                "k_P": 6, "k_p": 4, "k_g": 4, "k_l": 4, "C": 4,
+                "num_random_words": 4, "max_local_phases": 1,
+                "max_global_iterations": 1,
+            }), ("sleep", {})],
+            time_limit=2.0,
+            finisher=("sat", {}),
+        )
+        result = checker.check(original, optimized)
+    assert result.status is CecStatus.EQUIVALENT
+    counters = tracer.metrics.counters
+    assert counters.get("sat.state_adopted", 0) >= 1
+    assert counters.get("sat.adopted_carried_words", 0) > 0

@@ -15,7 +15,6 @@ from repro.aig.miter import build_miter
 from repro.bench.generators import multiplier, voter
 from repro.aig.network import negate_outputs
 from repro.cache.store import Verdict
-from repro.obs import Tracer, use_tracer
 from repro.serve import (
     DEFAULT_TENANT,
     AdmissionController,
@@ -36,7 +35,6 @@ from repro.serve.protocol import (
     read_frame_sync,
     write_frame_sync,
 )
-from repro.sweep.classes import SharedPool
 from repro.sweep.config import EngineConfig
 from repro.sweep.engine import CecStatus, SimSweepEngine
 from repro.synth.resyn import compress2
@@ -227,34 +225,6 @@ def test_tenant_manager_without_root_is_memory_only():
     assert manager.worker_config("default") is None
     manager.merge_delta("default", [("k", Verdict(status="equivalent"))])
     assert manager.flush() == 0  # nothing persisted
-
-
-# ---------------------------------------------------------------------------
-# Shared pattern pools
-# ---------------------------------------------------------------------------
-
-
-def test_shared_pool_adopted_by_engine():
-    pool = SharedPool.generate(9, 4, 42, "random")
-    config = EngineConfig(num_random_words=4, seed=42)
-    assert pool.compatible(config, 9)
-    assert not pool.compatible(config, 8)
-    tracer = Tracer("test")
-    with use_tracer(tracer):
-        engine = SimSweepEngine(config, initial_pool=pool)
-        result = engine.check_miter(_equivalent_miter(9))
-    assert result.status is CecStatus.EQUIVALENT
-    assert tracer.metrics.counters.get("state.pool_adopted", 0) == 1
-
-
-def test_incompatible_pool_is_ignored():
-    pool = SharedPool.generate(9, 2, 7, "random")  # wrong seed/words
-    tracer = Tracer("test")
-    with use_tracer(tracer):
-        engine = SimSweepEngine(EngineConfig(), initial_pool=pool)
-        result = engine.check_miter(_equivalent_miter(9))
-    assert result.status is CecStatus.EQUIVALENT
-    assert tracer.metrics.counters.get("state.pool_adopted", 0) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +453,19 @@ def test_server_rejects_bad_tenants_and_jobs(daemon):
             with pytest.raises(ServeError) as excinfo:
                 client.submit_batch([_equivalent_miter(9)], engine=engine)
             assert excinfo.value.code == "job"
+        # So do only the engine_kwargs keys the served engine takes.
+        with pytest.raises(ServeError) as excinfo:
+            client.submit_batch(
+                [_equivalent_miter(9)], engine="sat",
+                engine_kwargs={"bogus": 1},
+            )
+        assert excinfo.value.code == "job"
         assert client.stats()["pool"]["jobs_submitted"] == 0
+        records = client.submit_batch(
+            [_equivalent_miter(9)], engine="combined",
+            engine_kwargs={"num_random_words": 16},
+        )
+        assert records[0]["status"] == "equivalent"
 
 
 def test_server_shutdown_drains_and_unlinks_socket(daemon):

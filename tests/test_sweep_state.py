@@ -25,6 +25,7 @@ from reference_transforms import (
     relabel_compact_reference,
 )
 from repro.aig.literals import CONST0, lit, lit_var
+from repro.aig.miter import build_miter
 from repro.aig.network import Aig
 from repro.aig.rebuild import reachable_and_mask, rebuild_network
 from repro.aig.transform import (
@@ -32,10 +33,15 @@ from repro.aig.transform import (
     rebuild_with_replacements,
     relabel_compact,
 )
+from repro.bench.generators import multiplier
+from repro.cache import CacheConfig, SweepCache
 from repro.obs import Tracer, use_tracer
 from repro.simulation.partial import pack_patterns, simulate_words
 from repro.sweep.classes import EquivalenceClasses
+from repro.sweep.config import EngineConfig
+from repro.sweep.engine import CecStatus, SimSweepEngine
 from repro.sweep.state import SweepState
+from repro.synth.resyn import compress2
 
 
 # ----------------------------------------------------------------------
@@ -365,6 +371,44 @@ def test_sweep_state_pickles_and_rebuilds_lazily():
     assert np.array_equal(clone.pi_words, state.pi_words)
     assert np.array_equal(clone.origin_literals, state.origin_literals)
     assert np.array_equal(clone.tables(), before)
+
+
+def test_sweep_state_pickle_round_trip():
+    """What a portfolio worker ships with its residue is what the
+    finisher adopts: the carried matrices survive bit for bit, so the
+    receiving side only simulates pattern words appended since."""
+    config = EngineConfig(
+        k_P=6, k_p=4, k_g=4, k_l=4, C=4, num_random_words=4,
+        max_local_phases=1, max_global_iterations=1,
+    )
+    miter = build_miter(multiplier(4), compress2(multiplier(4)))
+    result = SimSweepEngine(config).check_miter(miter)
+    assert result.status is CecStatus.UNDECIDED
+    state = result.sim_state
+    state.bound_cache(SweepCache(CacheConfig()))  # computes the salt
+    state.add_cex_patterns([[1, 0] * (state.num_pis // 2)])
+    assert state.carried_words > 0 and state._salt is not None
+    clone = pickle.loads(pickle.dumps(state))
+    _assert_same_network(clone.network(), state.network())
+    assert clone.matches(result.reduced_miter)
+    assert clone.carried_words == state.carried_words
+    assert np.array_equal(clone._tables, state._tables)
+    assert np.array_equal(clone._salt, state._salt)
+    assert np.array_equal(clone.pi_words, state.pi_words)
+    assert np.array_equal(clone.origin_literals, state.origin_literals)
+    assert clone.origin_valid == state.origin_valid
+    assert clone.rebuilds == state.rebuilds
+    assert clone.num_cex == state.num_cex == 1
+    appended = clone.pi_words.shape[1] - clone._tables.shape[1]
+    tracer = Tracer("test")
+    with use_tracer(tracer):
+        tables = clone.tables()
+    assert np.array_equal(tables, state.tables())
+    counters = tracer.metrics.counters
+    assert counters.get("state.initial_words", 0) == 0
+    assert counters["state.recomputed_words"] == (
+        appended * clone.network().num_nodes
+    )
 
 
 def test_sweep_state_emits_rebuild_spans_and_counters():

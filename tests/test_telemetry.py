@@ -427,7 +427,6 @@ def _serve_payload():
                 "round": "warm",
                 "status": "equivalent",
                 "latency": 0.02,
-                "shm": {},
             },
         ],
         "daemon": {"pool": {"respawns": 0}},
@@ -473,11 +472,6 @@ def test_check_bench_flags_missing_rows_leaks_and_respawns():
     del fresh["rows"][1]
     errors, _ = cb.check_bench(fresh, _serve_payload())
     assert any("missing fresh" in e for e in errors)
-
-    leaky = _serve_payload()
-    leaky["rows"][0]["shm"] = {"shm.segments_leaked": 2.0}
-    errors, _ = cb.check_bench(leaky, _serve_payload())
-    assert any("leaked 2" in e for e in errors)
 
     crashed = _serve_payload()
     crashed["daemon"]["pool"]["respawns"] = 1

@@ -24,17 +24,15 @@ Three families of regressions are caught:
   deliberately generous — the gate exists to catch order-of-magnitude
   cliffs (an accidentally-disabled cache, a serialisation path gone
   quadratic), not 10% jitter;
-- **hygiene counters** — the *fresh* payload must report zero leaked
-  shared-memory segments (summed ``shm.segments_leaked`` over every
-  row) and, for serve payloads carrying a ``daemon`` stats snapshot, at
-  most ``--max-respawns`` worker respawns (default 0: a healthy bench
-  run never crashes or deadline-kills a worker).
+- **hygiene counters** — a fresh serve payload carrying a ``daemon``
+  stats snapshot must report at most ``--max-respawns`` worker respawns
+  (default 0: a healthy bench run never crashes or deadline-kills a
+  worker).
 
 Fresh rows with no baseline counterpart pass with a named ``note:``
 line — new coverage is not a regression — and ``--write-baseline``
-regenerates the baseline file from the fresh payload (the hygiene
-gates still apply, so a leaking or crashing run can never become the
-new reference).
+regenerates the baseline file from the fresh payload (the hygiene gate
+still applies, so a crashing run can never become the new reference).
 
 Exit status: 0 when the payload passes, 1 otherwise (errors listed on
 stderr, one per line).
@@ -88,15 +86,6 @@ def _geomean(values: Sequence[float]) -> float:
     if not positives:
         return 0.0
     return math.exp(sum(math.log(v) for v in positives) / len(positives))
-
-
-def _leaked_segments(payload: Dict) -> float:
-    """Summed ``shm.segments_leaked`` over every row of a payload."""
-    leaked = 0.0
-    for row in payload.get("rows", []):
-        shm = row.get("shm") or {}
-        leaked += float(shm.get("shm.segments_leaked", 0.0))
-    return leaked
 
 
 def _daemon_respawns(payload: Dict) -> int:
@@ -188,13 +177,6 @@ def check_bench(
             f"({len(ratios)} row(s) compared)"
         )
 
-    leaked = _leaked_segments(fresh)
-    if leaked:
-        errors.append(
-            f"fresh payload leaked {leaked:.0f} shared-memory segment(s) "
-            "(summed shm.segments_leaked over rows)"
-        )
-
     respawns = _daemon_respawns(fresh)
     if respawns > max_respawns:
         errors.append(
@@ -209,7 +191,6 @@ def check_bench(
             "experiment": experiment,
             "rows_compared": compared,
             "ratio": ratio,
-            "leaked_segments": leaked,
             "respawns": respawns,
             "new_rows": sorted(new_rows),
         },
@@ -246,8 +227,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--write-baseline", action="store_true",
         help="regenerate the baseline from the fresh payload instead of "
-        "diffing: the hygiene gates (leaked segments, respawns) still "
-        "apply so a broken run cannot become the new reference",
+        "diffing: the respawn gate still applies so a broken run "
+        "cannot become the new reference",
     )
     args = parser.parse_args(argv)
 
@@ -267,22 +248,13 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
             return 1
-        hygiene: List[str] = []
-        leaked = _leaked_segments(fresh)
-        if leaked:
-            hygiene.append(
-                f"fresh payload leaked {leaked:.0f} shared-memory "
-                "segment(s); refusing to adopt it as the baseline"
-            )
         respawns = _daemon_respawns(fresh)
         if respawns > args.max_respawns:
-            hygiene.append(
-                f"daemon respawned {respawns} worker(s), allowed "
-                f"{args.max_respawns}; refusing to adopt it as the baseline"
+            print(
+                f"error: daemon respawned {respawns} worker(s), allowed "
+                f"{args.max_respawns}; refusing to adopt it as the baseline",
+                file=sys.stderr,
             )
-        if hygiene:
-            for error in hygiene:
-                print(f"error: {error}", file=sys.stderr)
             return 1
         os.makedirs(os.path.dirname(baseline_path) or ".", exist_ok=True)
         with open(baseline_path, "w", encoding="utf-8") as handle:
@@ -324,7 +296,7 @@ def main(argv=None) -> int:
         f"{summary['rows_compared']} row(s), "
         f"geomean ratio {summary['ratio']:.2f} "
         f"(limit {args.max_ratio:g}), "
-        f"0 leaked segments, {summary['respawns']} respawn(s)"
+        f"{summary['respawns']} respawn(s)"
     )
     return 0
 

@@ -27,14 +27,6 @@ the rules below *are* the schema):
   bookkeeping in its ``args`` — i.e. the run really went through the
   carry-across-phases :class:`SweepState` path instead of a silent
   rebuild-from-scratch fallback;
-- ``--require-shm``: the run must have used the shared-memory data
-  plane, judged from the counter (``C``) events: segments were created
-  and adopted, ``shm.segments_leaked`` is zero, the bytes published as
-  segments dominate the bytes that crossed the queues pickled
-  (``shm.bytes_shared > ipc.bytes_pickled``), and the carry-over ratio
-  held across the process boundary (``state.carried_words >
-  state.recomputed_words`` in the *merged* counters — workers carried,
-  the parent adopted);
 - ``--require-sched``: the run must have gone through the adaptive
   per-pair scheduler: every ``sched.dispatch.<lane>`` counter is
   present (pre-registered at zero, so absence means the dispatcher
@@ -64,13 +56,6 @@ ALLOWED_PHASES = {"X", "M", "i", "I", "C"}
 
 REBUILD_ARGS = ("merges", "ands_before", "ands_after", "carried_words")
 
-#: Counters that must be present and positive under ``--require-shm``.
-SHM_REQUIRED_COUNTERS = (
-    "shm.segments_created",
-    "shm.segments_adopted",
-    "shm.bytes_shared",
-)
-
 #: The adaptive scheduler's dispatch lanes (``--require-sched``).
 SCHED_LANES = ("sim", "cut", "bdd", "sat")
 
@@ -83,7 +68,6 @@ def validate_trace(
     require_phases: Sequence[str] = (),
     require_workers: int = 0,
     require_rebuild: bool = False,
-    require_shm: bool = False,
     require_sched: bool = False,
     require_cubes: bool = False,
 ) -> List[str]:
@@ -185,35 +169,6 @@ def validate_trace(
                 f"process(es), need {require_workers}"
             )
 
-    if require_shm:
-        for counter in SHM_REQUIRED_COUNTERS:
-            if counters.get(counter, 0) <= 0:
-                errors.append(
-                    f"counter {counter!r} missing or zero: the run did "
-                    "not use the shared-memory data plane"
-                )
-        if counters.get("shm.segments_leaked", 0) != 0:
-            errors.append(
-                f"shm.segments_leaked = {counters['shm.segments_leaked']}: "
-                "worker segments had to be recovered by the prefix sweep"
-            )
-        shared = counters.get("shm.bytes_shared", 0)
-        pickled = counters.get("ipc.bytes_pickled", 0)
-        if shared and pickled and pickled >= shared:
-            errors.append(
-                f"ipc.bytes_pickled ({pickled:.0f}) >= shm.bytes_shared "
-                f"({shared:.0f}): the bulk data did not move through "
-                "segments"
-            )
-        carried = counters.get("state.carried_words", 0)
-        recomputed = counters.get("state.recomputed_words", 0)
-        if carried <= recomputed:
-            errors.append(
-                f"state.carried_words ({carried:.0f}) <= "
-                f"state.recomputed_words ({recomputed:.0f}): the carry-over "
-                "ratio did not hold across the process boundary"
-            )
-
     if require_sched:
         for lane in SCHED_LANES:
             counter = f"sched.dispatch.{lane}"
@@ -291,12 +246,6 @@ def main(argv=None) -> int:
         help="require at least one incremental 'rebuild' span",
     )
     parser.add_argument(
-        "--require-shm", action="store_true",
-        help="require shared-memory data-plane counters (created/adopted "
-        "segments, zero leaks, bytes_shared > bytes_pickled, carry-over "
-        "held across processes)",
-    )
-    parser.add_argument(
         "--require-sched", action="store_true",
         help="require adaptive-scheduler counters (all sched.dispatch.* "
         "lanes present, sched.mispredict recorded, sat.batch.pairs > "
@@ -322,7 +271,6 @@ def main(argv=None) -> int:
         require_phases=args.require_phases,
         require_workers=args.require_workers,
         require_rebuild=args.require_rebuild,
-        require_shm=args.require_shm,
         require_sched=args.require_sched,
         require_cubes=args.require_cubes,
     )
