@@ -67,8 +67,8 @@ class WorkerContext:
     """What a job handler sees of the runtime inside the child process.
 
     ``resident`` is the handler's scratch dict surviving across jobs of
-    a loop-mode worker — the serve policy keeps per-tenant caches and
-    cost models in it, which is the whole point of a warm worker.
+    a loop-mode worker — the serve policy keeps per-tenant caches in
+    it, which is the whole point of a warm worker.
     """
 
     __slots__ = ("index", "tracer", "recorder", "resident")

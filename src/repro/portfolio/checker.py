@@ -64,10 +64,7 @@ class CombinedChecker:
         the adaptive per-pair scheduler (cost-model dispatch over
         sim/cut/BDD/batched-SAT lanes, see ``repro.sched``).  ``"fixed"``
         is the kill switch: the original P→G→L→SAT pipeline, byte for
-        byte.
-    cost_model:
-        Optional externally-owned :class:`~repro.sched.CostModel` for
-        the auto path (the serve pool keeps one warm per tenant).
+        byte.  Both do the same work on the same input every time.
     """
 
     def __init__(
@@ -77,7 +74,6 @@ class CombinedChecker:
         transfer_ecs: bool = True,
         cache: Optional[SweepCache] = None,
         sched: str = "auto",
-        cost_model=None,
     ) -> None:
         if sched not in ("auto", "fixed"):
             raise ValueError(f"unknown sched mode {sched!r}")
@@ -93,7 +89,6 @@ class CombinedChecker:
             self.sat_checker.cache = self.cache
         self.transfer_ecs = transfer_ecs
         self.sched = sched
-        self.cost_model = cost_model
         self._sweeper = None
         self.timings = CombinedTimings()
 
@@ -107,7 +102,6 @@ class CombinedChecker:
                 conflict_limit=self.sat_checker.conflict_limit,
                 time_limit=self.sat_checker.time_limit,
                 cache=self.cache,
-                cost_model=self.cost_model,
             )
         return self._sweeper
 

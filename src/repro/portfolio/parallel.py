@@ -136,7 +136,6 @@ def build_checker(
     cache_dir: Optional[str] = None,
     cache_readonly: bool = False,
     cache: Optional[SweepCache] = None,
-    cost_model=None,
 ):
     """Instantiate a checker from a picklable spec.
 
@@ -147,10 +146,7 @@ def build_checker(
     deltas are never written back (portfolio workers — the parent merges
     their deltas on join instead).  ``cache`` injects an already-loaded
     cache object instead (serve workers keep theirs resident across
-    jobs); it wins over ``cache_dir``.  ``cost_model`` hands the
-    combined checker an externally-owned lane cost model (serve workers
-    keep one resident per tenant, so the adaptive scheduler stays
-    calibrated across jobs).
+    jobs); it wins over ``cache_dir``.
     """
     kind, kwargs = spec[0], spec[1]
 
@@ -179,7 +175,6 @@ def build_checker(
             config=config,
             cache=knowledge_cache(),
             sched=sched,
-            cost_model=cost_model,
         )
     if kind == "sat":
         from repro.sat.sweeping import SatSweepChecker

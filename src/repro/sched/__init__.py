@@ -3,7 +3,9 @@
 A cost-model dispatcher that routes each candidate equivalence pair to
 the predicted-cheapest of four proving lanes (exhaustive-simulation
 window, cut-based local check, size-limited BDD, batched incremental
-SAT), learning lane latencies online.  See ``docs/scheduling.md``.
+SAT).  Routing depends only on the pair's features and on the outcomes
+seen earlier in the same check, never on a clock, so the same input
+gets the same work.  See ``docs/scheduling.md``.
 """
 
 from repro.sched.cost import FORCE_ENV, LANES, CostModel

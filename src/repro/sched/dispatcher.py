@@ -4,22 +4,26 @@ Replaces the fixed pair pipeline of the residual-SAT stage with
 feature-based dispatch: every candidate pair of every refinement round
 is scored against four lanes — exhaustive-simulation window, cut-based
 local check, size-limited BDD, batched incremental SAT — and routed to
-the predicted-cheapest one.  Lane latencies feed back into the
-:class:`~repro.sched.cost.CostModel` (ε-greedy, misprediction
-penalties), so the routing adapts to the workload within a run, and —
-in the serve daemon — across the jobs of one tenant.
+the predicted-cheapest one.  Lane outcomes feed back into the
+:class:`~repro.sched.cost.CostModel` as misprediction penalties, so the
+routing adapts to the input within one check.  The model is built
+afresh for every check, and neither it nor the round's SAT budget
+(:data:`SAT_ROUND_PROPAGATIONS`, a count of solver propagations) reads
+a clock: the same input gets the same routing and the same work on any
+machine.  Wall clock enters only through ``time_limit``, which may end
+a run as UNDECIDED but never steers one.
 
 Correctness does not depend on the model: lanes only ever *prove* or
 *refute* with sound certificates (full-support windows, canonical BDDs,
-exact SAT), anything a lane cannot settle reroutes to the batched SAT
-backstop, and the final PO proof always runs at the full conflict
+exact SAT), anything a lane cannot settle reroutes to a later lane and
+at worst to the batched SAT backstop, and the final PO proof always
+runs at the full conflict
 limit.  A bad cost model costs time, never the verdict.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import time
+import functools
 from typing import Dict, List, Optional, Union
 
 from repro.aig.literals import lit
@@ -55,11 +59,12 @@ BDD_NODE_LIMIT = 50_000
 #: routing of later ones.
 CHUNK_SIZE = 64
 
-#: Wall-clock slice the in-round SAT batch may spend per round.  Small
-#: on purpose: merges from the cheap lanes shrink supports between
-#: rounds, turning SAT-only pairs into sim/cut/BDD pairs — solving them
-#: *now* at seconds each would buy nothing.
-SAT_ROUND_SECONDS = 1.0
+#: Solver propagations the in-round SAT batch may spend per round
+#: before it stops taking pairs (about what a 1 s slice of the pure-Python
+#: solver spends on a 2-vCPU machine).  Small on purpose: merges from the
+#: cheap lanes shrink supports between rounds, turning SAT-only pairs
+#: into sim/cut/BDD pairs — solving them *now* would buy nothing.
+SAT_ROUND_PROPAGATIONS = 150_000
 
 
 class AdaptiveSweeper:
@@ -79,11 +84,7 @@ class AdaptiveSweeper:
         simulator).
     conflict_limit:
         Full SAT budget for the final PO proof; the per-pair batched
-        budgets are derived from it (an order of magnitude smaller).
-    cost_model:
-        Optional externally-owned model; the serve pool passes one per
-        tenant so calibration survives across jobs.  A fresh model is
-        seeded deterministically otherwise.
+        budgets are derived from it (two orders of magnitude smaller).
     """
 
     def __init__(
@@ -92,17 +93,11 @@ class AdaptiveSweeper:
         conflict_limit: int = 100_000,
         time_limit: Optional[float] = None,
         cache: Optional[SweepCache] = None,
-        cost_model: Optional[CostModel] = None,
     ) -> None:
         self.config = config if config is not None else EngineConfig()
         self.conflict_limit = conflict_limit
         self.time_limit = time_limit
         self.cache = cache
-        self.model = (
-            cost_model
-            if cost_model is not None
-            else CostModel(seed=self.config.seed, sim_cap=self.config.k_g)
-        )
         self.simulator = ExhaustiveSimulator(
             memory_budget_words=self.config.memory_budget_words
         )
@@ -111,7 +106,8 @@ class AdaptiveSweeper:
             "cut": CutLane(self.config),
             "bdd": BddLane(node_limit=BDD_NODE_LIMIT),
             "sat": SatBatchLane(
-                conflict_budget=max(200, conflict_limit // 100)
+                conflict_budget=max(200, conflict_limit // 100),
+                round_propagations=SAT_ROUND_PROPAGATIONS,
             ),
         }
         #: Full-budget drain for stalled rounds (the fixed pipeline's
@@ -135,9 +131,13 @@ class AdaptiveSweeper:
         ``state`` follows the same EC-transfer contract as the SAT
         checker: a matching :class:`SweepState` is adopted verbatim
         (signatures, classes and cache fingerprints carried in place), a
-        pattern pool is adopted into a fresh state.
+        pattern pool is adopted into a fresh state.  The cost model and
+        the cut lane's pass rotation start afresh, so a reused sweeper
+        routes the same input the same way.
         """
         loop = SweepLoop("SCHED", miter, self.cache, self.time_limit)
+        model = CostModel(sim_cap=self.config.k_g)
+        self.lanes["cut"].reset()
         sweep = adopt_state(
             miter, state, self.config.num_random_words, self.config.seed,
             counter="sched",
@@ -151,7 +151,8 @@ class AdaptiveSweeper:
         metrics.counter_add("sat.batch.pairs", 0)
         metrics.counter_add("sat.batch.solves", 0)
         return loop.run(
-            sweep, "sched.check_miter", MAX_ROUNDS, self._prove_round,
+            sweep, "sched.check_miter", MAX_ROUNDS,
+            functools.partial(self._prove_round, model),
             lambda sweep, deadline, record: prove_pos_batched(
                 sweep, self.cache, self.conflict_limit, deadline, record
             ),
@@ -160,11 +161,15 @@ class AdaptiveSweeper:
     # ------------------------------------------------------------------
 
     def _prove_round(
-        self, sweep: SweepState, classes, pairs, deadline: Optional[float]
+        self,
+        model: CostModel,
+        sweep: SweepState,
+        classes,
+        pairs,
+        deadline: Optional[float],
     ) -> Round:
         tracer = get_tracer()
         metrics = tracer.metrics
-        model = self.model
         bound = sweep.bound_cache(self.cache)
         extractor = FeatureExtractor(
             sweep, cap=max(self.config.k_g, model.bdd_cap)
@@ -179,9 +184,9 @@ class AdaptiveSweeper:
             deadline=deadline,
         )
         # Route in chunks: lane feedback from early chunks steers the
-        # routing of later ones, so a cold model recovers from a bad
-        # seed *within* the first round instead of after it.  SAT
-        # reroutes accumulate across chunks and solve as one batch on a
+        # routing of later ones, so a model recovers from a bad seed
+        # *within* the first round instead of after it.  SAT-bound
+        # pairs accumulate across chunks and solve as one batch on a
         # single shared solver at the end of the round.
         sat_pending: List[RoutedPair] = []
         for chunk_start in range(0, len(pairs), CHUNK_SIZE):
@@ -211,7 +216,7 @@ class AdaptiveSweeper:
                 routed[lane].append(
                     RoutedPair(repr_node, node, phase, features)
                 )
-            for lane_name in ("sim", "cut", "bdd"):
+            for index, lane_name in enumerate(LANES[:-1]):
                 lane_pairs = routed[lane_name]
                 if not lane_pairs:
                     continue
@@ -225,34 +230,37 @@ class AdaptiveSweeper:
                     )
                 merges.update(outcome.merges)
                 cex_patterns.extend(outcome.cex_patterns)
-                # Everything a lane could not settle falls through to
-                # the batched SAT backstop of the same round.
-                sat_pending.extend(outcome.unresolved)
+                # Everything a lane could not settle goes on to the
+                # lane after it in reroute order that the model, with
+                # the outcomes just recorded, predicts cheapest; the
+                # batched SAT backstop of the same round is always
+                # among them, so nothing is dropped.
+                later = LANES[index + 1:]
+                for rp in outcome.unresolved:
+                    routed[min(
+                        later,
+                        key=lambda lane: model.predicted_cost(
+                            lane, rp.features
+                        ),
+                    )].append(rp)
             sat_pending.extend(routed["sat"])
         sat_unresolved: List[RoutedPair] = []
         if sat_pending:
-            # Shallow cones first (they UNSAT in milliseconds), and only
-            # a bounded wall-clock slice: anything the slice cannot
+            # Shallow cones first (they UNSAT cheaply), and only a
+            # bounded propagation budget: anything the budget cannot
             # settle stays in its class — the next round's merges may
             # shrink it into a cheap lane's reach.
             sat_pending.sort(key=lambda rp: rp.features.level)
-            slice_deadline = time.perf_counter() + SAT_ROUND_SECONDS
-            if deadline is not None:
-                slice_deadline = min(slice_deadline, deadline)
             with tracer.span(
                 "sched.lane.sat", category="sched", pairs=len(sat_pending),
             ):
-                outcome = self.lanes["sat"].run(
-                    dataclasses.replace(ctx, deadline=slice_deadline),
-                    sat_pending,
-                    model,
-                )
+                outcome = self.lanes["sat"].run(ctx, sat_pending, model)
             merges.update(outcome.merges)
             cex_patterns.extend(outcome.cex_patterns)
             sat_unresolved = outcome.unresolved
         self.rounds += 1
         if not merges and not cex_patterns and sat_unresolved:
-            # Stalled: the cheap lanes are dry and the SAT slice settled
+            # Stalled: the cheap lanes are dry and the SAT budget settled
             # nothing.  Pay the fixed pipeline's price once — a
             # full-budget batched sweep over the survivors — under the
             # overall deadline only.

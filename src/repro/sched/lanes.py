@@ -4,28 +4,30 @@ Each lane wraps one prover (exhaustive-simulation window, cut-based
 local check, size-limited BDD, batched incremental SAT) behind the same
 shape: take the pairs the dispatcher routed here, settle what it can,
 and hand the rest back as ``unresolved`` — the dispatcher reroutes those
-to the SAT backstop, so a lane is free to give up without ever costing
-correctness.  Every attempted pair reports its observed latency (and
-success/failure) back to the :class:`~repro.sched.cost.CostModel`.
+to a later lane, the SAT backstop last, so a lane is free to give up
+without ever costing correctness.  Every attempted pair reports whether it was resolved back
+to the :class:`~repro.sched.cost.CostModel`; no lane reads a clock.
 
 The provers themselves have one body each, shared with the fixed
 flow: the sim and cut lanes call :mod:`repro.sweep.provers` (as do the
 engine's G and L phases), the BDD lane calls
 :func:`~repro.bdd.sweeping.bdd_pair_verdict` and the SAT lane
 :func:`~repro.sat.sweeping.query_pair`.  A lane adds only the routing:
-feasibility checks, latency feedback and the unresolved hand-back.
+feasibility checks, outcome feedback and the unresolved hand-back.
 
 The SAT lane is batched and incremental: all the pairs of one round
-share a single solver instance and lazily-encoded CNF; each pair is an assumption-guarded query with its own conflict
-budget, proved equivalences are asserted into the shared solver so later
-queries in the batch reuse them, and the ``sat.batch.pairs`` /
+share a single solver instance and lazily-encoded CNF; each pair is an
+assumption-guarded query with its own conflict budget, proved
+equivalences are asserted into the shared solver so later queries in
+the batch reuse them, and the ``sat.batch.pairs`` /
 ``sat.batch.solves`` counters make the batching observable (pairs must
-outnumber solver instances).
+outnumber solver instances).  The round's lane stops taking pairs once
+its solver has spent a propagation budget, so how much SAT a round does
+is a count of solver work, not of seconds.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -109,7 +111,6 @@ class SimLane:
             attempted.append(rp)
         if not attempted:
             return out
-        start = time.perf_counter()
         verdicts = prove_full_support(
             ctx.miter,
             ctx.simulator,
@@ -120,7 +121,6 @@ class SimLane:
             ctx.bound,
             "SCHED",
         )
-        per_pair = (time.perf_counter() - start) / len(attempted)
         for rp in attempted:
             if rp.node in verdicts.merges:
                 out.merges[rp.node] = (rp.repr_node, rp.phase)
@@ -128,10 +128,10 @@ class SimLane:
                 out.cex_patterns.append(verdicts.cex[rp.node])
             else:
                 # Window skipped on the simulator's memory budget.
-                model.record(self.name, rp.features, per_pair, resolved=False)
+                model.record(self.name, resolved=False)
                 out.unresolved.append(rp)
                 continue
-            model.record(self.name, rp.features, per_pair, resolved=True)
+            model.record(self.name, resolved=True)
         return out
 
 
@@ -147,6 +147,11 @@ class CutLane:
 
     def __init__(self, config: EngineConfig) -> None:
         self.config = config
+        self._calls = 0
+
+    def reset(self) -> None:
+        """Restart the pass rotation (at the start of every check, so a
+        reused sweeper sees the same passes on the same input)."""
         self._calls = 0
 
     def _next_pass(self) -> int:
@@ -172,7 +177,6 @@ class CutLane:
                 out.unresolved.append(rp)
         if not attempted:
             return out
-        start = time.perf_counter()
         pair_info = {rp.node: (rp.repr_node, rp.phase) for rp in attempted}
         repr_of: Dict[int, int] = {}
         for rp in attempted:
@@ -186,26 +190,21 @@ class CutLane:
             ctx.miter, ctx.simulator, selector, cfg, repr_of, pair_info,
             merges, ctx.bound, "SCHED",
         )
-        per_pair = (time.perf_counter() - start) / len(attempted)
-        # An unproved pair is NOT a routing mistake here: a local
-        # mismatch may be an SDC and the next pass rotation may still
-        # prove it (the fixed engine's L phase needs many rounds too).
-        # Record latencies neutrally and penalise once per empty batch,
-        # or the per-pair penalty caps out in one chunk and the lane —
-        # the scheduler's only way to prove wide-support pairs cheaply —
-        # goes dark for the rest of the run.
+        # An unproved pair in a batch that proved something is NOT a
+        # routing mistake: a local mismatch may be an SDC and the next
+        # pass rotation may still prove it (the fixed engine's L phase
+        # needs many rounds too).  A batch that proved nothing is one
+        # for every pair in it: the whole pass was wasted work, and
+        # those pairs go on to a later lane.
         for rp in attempted:
-            resolved = rp.node in merges
-            model.record(
-                self.name, rp.features, per_pair,
-                resolved=resolved, neutral=not resolved,
-            )
-            if resolved:
+            if rp.node in merges:
+                model.record(self.name, resolved=True)
                 out.merges[rp.node] = merges[rp.node]
             else:
                 out.unresolved.append(rp)
         if not merges:
-            model.mispredict(self.name)
+            for _ in attempted:
+                model.mispredict(self.name)
         return out
 
 
@@ -239,7 +238,6 @@ class BddLane:
             if _expired(ctx.deadline):
                 out.unresolved.append(rp)
                 continue
-            start = time.perf_counter()
             try:
                 pattern = bdd_pair_verdict(
                     ctx.miter, manager, node_bdds,
@@ -248,20 +246,14 @@ class BddLane:
             except BddLimitExceeded:
                 # The shared manager is saturated: this pair failed and
                 # the rest of the batch cannot build BDDs either.
-                model.record(
-                    self.name,
-                    rp.features,
-                    time.perf_counter() - start,
-                    resolved=False,
-                )
+                model.record(self.name, resolved=False)
                 out.unresolved.append(rp)
                 blown = True
                 continue
-            seconds = time.perf_counter() - start
-            model.record(self.name, rp.features, seconds, resolved=True)
+            model.record(self.name, resolved=True)
             status = SolveStatus.UNSAT if pattern is None else SolveStatus.SAT
             record_pair_verdict(
-                ctx.bound, rp.lit_r, rp.lit_n, status, pattern, seconds,
+                ctx.bound, rp.lit_r, rp.lit_n, status, pattern, 0.0,
                 0, ctx.deadline, context="SCHED", engine="bdd",
             )
             if pattern is None:
@@ -279,12 +271,22 @@ class SatBatchLane:
     proved equivalences are asserted into the shared instance so later
     queries in the batch solve against an already-reduced search space.
     Each pair gets its own conflict budget, scaled with cone depth.
+
+    ``round_propagations`` caps the batch's solver work: once the shared
+    solver has done that many propagations, the remaining pairs come
+    back unresolved without a query (``None``: no cap, for the
+    full-budget drain).
     """
 
     name = "sat"
 
-    def __init__(self, conflict_budget: int = 1_000) -> None:
+    def __init__(
+        self,
+        conflict_budget: int = 1_000,
+        round_propagations: Optional[int] = None,
+    ) -> None:
         self.conflict_budget = conflict_budget
+        self.round_propagations = round_propagations
 
     def budget_for(self, f: PairFeatures) -> int:
         """Per-pair conflict budget: deeper cones earn more conflicts.
@@ -306,17 +308,21 @@ class SatBatchLane:
         metrics = get_tracer().metrics
         metrics.counter_add("sat.batch.pairs", len(pairs))
         metrics.counter_add("sat.batch.solves", 1)
-        cnf = CnfBuilder(ctx.miter, SatSolver())
+        solver = SatSolver()
+        cnf = CnfBuilder(ctx.miter, solver)
+        cap = self.round_propagations
         for rp in pairs:
-            if _expired(ctx.deadline):
+            if _expired(ctx.deadline) or (
+                cap is not None and solver.propagations >= cap
+            ):
                 out.unresolved.append(rp)
                 continue
-            status, pattern, seconds = query_pair(
+            status, pattern, _ = query_pair(
                 cnf, ctx.bound, rp.lit_r, rp.lit_n,
                 self.budget_for(rp.features), ctx.deadline, context="SCHED",
             )
             resolved = status is not SolveStatus.UNKNOWN
-            model.record(self.name, rp.features, seconds, resolved=resolved)
+            model.record(self.name, resolved=resolved)
             if status is SolveStatus.UNSAT:
                 out.merges[rp.node] = (rp.repr_node, rp.phase)
             elif status is SolveStatus.SAT:

@@ -10,8 +10,8 @@ dominate.  ``repro.serve`` amortises them:
   speaking the length-prefixed JSON protocol of
   :mod:`repro.serve.protocol`;
 - :mod:`repro.serve.pool` — persistent worker processes that keep
-  per-tenant knowledge caches and scheduler cost models hot across
-  queries, fed miters pickled on their inbox queues;
+  per-tenant knowledge caches hot across queries, fed miters pickled on
+  their inbox queues;
 - :mod:`repro.serve.tenants` — per-tenant cache namespaces backed by
   sharded proof stores (:mod:`repro.cache.sharding`);
 - :mod:`repro.serve.admission` — bounded queues, ``busy`` backpressure,

@@ -3,11 +3,11 @@
 One-shot portfolio runs pay fork/spawn, module import and cache load on
 *every* query.  The pool amortises all three: worker processes are
 spawned once (loop mode of :func:`repro.exec.worker.exec_worker_main`)
-and stay resident, keeping per-tenant knowledge caches and scheduler
-cost models hot across queries.  Miters travel to workers pickled on
-their inbox queues, and verdict deltas travel back on the result queue
-for the parent to merge into the tenant caches and persist — exactly
-the parent-merges ownership model of the parallel portfolio.
+and stay resident, keeping per-tenant knowledge caches hot across
+queries.  Miters travel to workers pickled on their inbox queues, and
+verdict deltas travel back on the result queue for the parent to merge
+into the tenant caches and persist — exactly the parent-merges
+ownership model of the parallel portfolio.
 
 Process lifecycle, flight rings and queue plumbing live in
 :mod:`repro.exec`; this module is the serving *policy*.  Jobs queue on
@@ -125,34 +125,23 @@ def run_serve_job(message: Dict, ctx) -> Dict:
     """Loop-mode job handler: check, report, stay warm.
 
     Runs inside an :func:`repro.exec.worker.exec_worker_main` loop
-    worker.  Resident state (per-tenant caches and cost models) lives in
+    worker.  Resident state (the per-tenant caches) lives in
     ``ctx.resident`` and survives across jobs — that is what makes a
-    warm worker warm.  Per-job failures raise; the worker main reports
-    and survives them: one malformed miter must not cost the pool a
-    warm worker.
+    warm worker warm.  Nothing else carries over: each job builds its
+    own checker, so the tenant's cache is the only thing an earlier job
+    can change about a later one's work.  Per-job failures raise; the
+    worker main reports and survives them: one malformed miter must not
+    cost the pool a warm worker.
     """
     resident = ctx.resident
     caches: Dict[Tuple[str, int], SweepCache] = resident.setdefault(
         "caches", {}
     )
-    # Per-tenant adaptive-scheduler cost models: lane latency histograms
-    # calibrated on one tenant's workload stay warm across its jobs, so
-    # repeat submissions dispatch with a trained model from pair one.
-    cost_models: Dict[str, object] = resident.setdefault("cost_models", {})
     miter = message["miter"]
     spec = tuple(message["spec"])
     cache = _load_worker_cache(caches, message.get("cache"))
     snapshot = cache.snapshot() if cache is not None else None
-    cost_model = None
-    if spec[0] == "combined":
-        from repro.sched import CostModel
-
-        tenant = message.get("tenant", DEFAULT_TENANT)
-        cost_model = cost_models.get(tenant)
-        if cost_model is None:
-            cost_model = CostModel()
-            cost_models[tenant] = cost_model
-    checker = build_checker(spec, cache=cache, cost_model=cost_model)
+    checker = build_checker(spec, cache=cache)
     with get_tracer().span(
         "serve.job",
         category="serve",
@@ -371,7 +360,6 @@ class WorkerPool:
             "miter": job.miter,
             "spec": (job.engine, dict(job.engine_kwargs)),
             "cache": self.tenants.worker_config(job.tenant),
-            "tenant": job.tenant,
             "meta": {"tenant": job.tenant, "engine": job.engine},
         }
         deadline = job.deadline if job.deadline is not None else self.job_deadline

@@ -618,15 +618,21 @@ def test_check_trace_require_sched(tmp_path):
     }
     assert check_trace.validate_trace(batched, require_sched=True) == []
 
-    # A real traced adaptive run validates end to end.
-    from repro.sched import AdaptiveSweeper
-    from repro.sweep.config import EngineConfig
+    # A real traced adaptive run validates end to end.  On the frozen
+    # adder11 benchmark pair (read only) the cut and BDD lanes leave
+    # pairs to the batched SAT lane, which serves many pairs per
+    # solver; small multipliers are proved by the sim lane alone.
+    from pathlib import Path
 
-    a = gen.multiplier(4)
-    b = compress2(a)
+    from repro import read_aiger
+    from repro.sched import AdaptiveSweeper
+
+    inputs = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
+    a = read_aiger(inputs / "adder11.aag")
+    b = read_aiger(inputs / "adder11_compress2.aag")
     tracer = Tracer()
     with use_tracer(tracer):
-        result = AdaptiveSweeper(EngineConfig.fast()).check(a, b)
+        result = AdaptiveSweeper().check(a, b)
     assert result.is_equivalent
     path = tracer.write(str(tmp_path / "sched_trace.json"))
     errors = check_trace.validate_trace(

@@ -118,7 +118,11 @@ def test_requires_engines():
 
 def test_crash_recorded_on_report():
     """A worker that raises becomes a structured EngineFailure."""
-    original = voter(15)
+    # voter(63) keeps ``combined`` busy for over a second after start-up,
+    # well past the crash worker's import even under ``spawn``: a winner
+    # that finished first would stop the crash worker before it raised,
+    # and its record would rightly read ``cancelled``.
+    original = voter(63)
     optimized = compress2(original)
     checker = ParallelPortfolioChecker(
         engines=[("crash", {"message": "boom"}), ("combined", {})],
@@ -285,10 +289,10 @@ def test_parallel_repeated_runs_do_not_leak(tmp_path):
 def test_sigkilled_sleeper_is_reaped():
     """A worker that ignores SIGTERM is SIGKILLed once ``combined`` wins:
     the staged stop escalates, and the run still returns its verdict."""
-    # voter(21) keeps ``combined`` busy for most of a second, well past
-    # the sleeper's start-up even under ``spawn``: a winner that finished
+    # voter(63) keeps ``combined`` busy for over a second, well past the
+    # sleeper's start-up even under ``spawn``: a winner that finished
     # first would stop the sleeper before it could ignore SIGTERM.
-    original = voter(21)
+    original = voter(63)
     optimized = compress2(original)
     tracer = Tracer("test")
     with use_tracer(tracer):

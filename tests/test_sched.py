@@ -7,13 +7,18 @@ pipeline and requires identical verdicts, then pins every lane with
 ``REPRO_SCHED_FORCE`` to show each one is individually sound (forced
 runs still prove equivalences and still find the injected bug's
 counter-example, because unresolved pairs reroute to the SAT backstop).
+Routing reads no clock: the default path does the same work on the
+same input however fast time appears to pass.
 """
 
 import math
 import random
+import time
+from pathlib import Path
 
 import pytest
 
+from repro import read_aiger
 from repro.aig.network import Aig
 from repro.bench import generators as gen
 from repro.obs import Tracer, use_tracer
@@ -35,6 +40,8 @@ from repro.synth.resyn import compress2
 from repro.synth.rewrite import cut_rewrite
 
 from conftest import brute_force_equivalent, random_aig
+
+INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
 
 
 def _mutate(aig: Aig, seed: int) -> Aig:
@@ -108,7 +115,7 @@ def test_forced_lane_still_proves_and_disproves(lane, monkeypatch):
     for seed in range(8):
         original, other, equal = _case(seed)
         sweeper = AdaptiveSweeper(EngineConfig.fast())
-        assert sweeper.model.forced_lane() == lane
+        assert CostModel().forced_lane() == lane
         result = sweeper.check(original, other)
         expected = CecStatus.EQUIVALENT if equal else CecStatus.NONEQUIVALENT
         assert result.status is expected, (lane, seed)
@@ -160,33 +167,35 @@ def test_mispredict_penalty_grows_and_decays():
     model = CostModel()
     f = _features()
     base = model.predicted_cost("sim", f)
-    model.record("sim", f, seconds=1e-4, resolved=False)
+    model.record("sim", resolved=False)
     assert model.predicted_cost("sim", f) > base
     assert model.mispredicts == 1
     for _ in range(10):
-        model.record("sim", f, seconds=1e-4, resolved=True)
+        model.record("sim", resolved=True)
     assert model.penalty["sim"] == 1.0
+    assert model.predicted_cost("sim", f) == base
 
 
-def test_observed_latency_corrects_static_seed():
-    model = CostModel(min_observations=4)
+def test_choose_depends_only_on_features_and_penalties():
+    """No RNG and no clock: equal features under equal penalties pick
+    the same lane, call after call and model after model, and only a
+    penalty moves a choice."""
+    cases = [
+        _features(),
+        _features(union_size=-1, union_support=None),
+        _features(node_is_and=False),
+        _features(level=80, class_size=9),
+    ]
+    first, second = CostModel(), CostModel()
+    for f in cases:
+        picks = {first.choose(f) for _ in range(20)} | {second.choose(f)}
+        assert len(picks) == 1, f
     f = _features()
-    seeded = model.predicted_cost("sat", f)
-    # The lane turns out far slower than its seed claims.
-    for _ in range(6):
-        model.record("sat", f, seconds=1.0, resolved=True)
-    corrected = model.predicted_cost("sat", f)
-    assert corrected > seeded
-    snapshot = model.as_dict()
-    assert snapshot["dispatched"]["sat"] == 0  # record() is not choose()
-    assert snapshot["observed_p50"]["sat"] > 0
-
-
-def test_choose_is_deterministic_per_seed():
-    f = _features()
-    picks_a = [CostModel(seed=7).choose(f) for _ in range(5)]
-    picks_b = [CostModel(seed=7).choose(f) for _ in range(5)]
-    assert picks_a == picks_b
+    assert first.choose(f) == "sim"
+    for _ in range(10):
+        first.mispredict("sim")
+    assert first.choose(f) != "sim"
+    assert second.choose(f) == "sim"
 
 
 # ---------------------------------------------------------------------------
@@ -279,18 +288,57 @@ def test_adaptive_report_keeps_engine_phase_records():
     assert timings.total_seconds >= timings.engine_seconds
 
 
-def test_cost_model_is_shared_across_checks():
-    """A tenant-resident model keeps learning across jobs."""
-    model = CostModel()
-    original = gen.multiplier(4)
-    optimized = compress2(original)
-    for _ in range(2):
-        checker = CombinedChecker(
-            EngineConfig.fast(), sched="auto", cost_model=model
-        )
-        result = checker.check(original, optimized)
-        assert result.status is CecStatus.EQUIVALENT
-    total = sum(model.dispatched.values())
-    observed = sum(h.count for h in model.histograms.values())
-    if total:
-        assert observed > 0
+# ---------------------------------------------------------------------------
+# The default path repeats its work
+# ---------------------------------------------------------------------------
+
+#: Counters of what the default path did: where each pair went, how the
+#: SAT batches were filled, and how much cut and simulation work ran.
+WORK_COUNTERS = tuple(f"sched.dispatch.{lane}" for lane in LANES) + (
+    "sched.mispredict",
+    "sat.batch.pairs",
+    "sat.batch.solves",
+    "cuts.expansions",
+    "sim.words_simulated",
+)
+
+
+def _traced_work(checker, a, b):
+    tracer = Tracer()
+    with use_tracer(tracer):
+        result = checker.check(a, b)
+    counters = {
+        name: tracer.metrics.counter_value(name) for name in WORK_COUNTERS
+    }
+    phases = [
+        (p.kind, p.candidates, p.proved, p.cex) for p in result.report.phases
+    ]
+    return result.status, counters, phases
+
+
+@pytest.mark.parametrize("name", ["voter23", "adder11"])
+def test_default_path_repeats_its_work_on_a_faster_clock(name, monkeypatch):
+    """A frozen benchmark pair (read only) goes twice through one
+    default ``CombinedChecker``, the second time with
+    ``time.perf_counter`` running 3x fast: the verdict, every dispatch
+    and SAT-batch counter, the cut and simulation work and the phase
+    records must read the same.  Routing on measured seconds, or
+    carrying a learned model from one check to the next, breaks this.
+    voter23 settles in the sim, cut and BDD lanes; adder11 also fills a
+    batched SAT solve."""
+    a = read_aiger(INPUTS / f"{name}.aag")
+    b = read_aiger(INPUTS / f"{name}_compress2.aag")
+    checker = CombinedChecker()
+    first = _traced_work(checker, a, b)
+    real = time.perf_counter
+    origin = real()
+    monkeypatch.setattr(
+        time, "perf_counter", lambda: origin + 3.0 * (real() - origin)
+    )
+    second = _traced_work(checker, a, b)
+    assert first == second
+    status, counters, phases = first
+    assert status is CecStatus.EQUIVALENT
+    # The residue really went through the scheduler's lanes.
+    assert sum(counters[f"sched.dispatch.{lane}"] for lane in LANES) > 0
+    assert [kind for kind, *_ in phases] == ["P", "SCHED"]
