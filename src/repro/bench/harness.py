@@ -270,15 +270,12 @@ def run_table2_case(
     sat_conflict_limit: int = 100_000,
     baseline_time_limit: Optional[float] = None,
     run_portfolio: bool = True,
-    parallel_portfolio: bool = False,
     cache: Optional[SweepCache] = None,
     run_cubes: bool = True,
 ) -> Table2Row:
     """Run all three checkers of Table II on one case.
 
-    ``parallel_portfolio`` runs the commercial-tool stand-in as the
-    multiprocess :class:`ParallelPortfolioChecker` instead of the inline
-    cascade.  ``run_cubes`` adds the distributed cube race vs single-solver
+    ``run_cubes`` adds the distributed cube race vs single-solver
     monolith comparison (the row's ``cube`` dict).
 
     Raises ``AssertionError`` if any conclusive verdicts disagree — the
@@ -295,26 +292,7 @@ def run_table2_case(
     abc_seconds = time.perf_counter() - start
 
     cfm_engine_seconds: Dict[str, float] = {}
-    if run_portfolio and parallel_portfolio:
-        from repro.portfolio.parallel import ParallelPortfolioChecker
-
-        cfm = ParallelPortfolioChecker(time_limit=baseline_time_limit)
-        start = time.perf_counter()
-        try:
-            cfm_result = cfm.check_miter(miter)
-            cfm_status = cfm_result.status.value
-        except PortfolioError:
-            cfm_result = None
-            cfm_status = "failed"
-        cfm_seconds = time.perf_counter() - start
-        cfm_report = (
-            cfm_result.report if cfm_result is not None else None
-        )
-        if cfm_report is not None and hasattr(cfm_report, "engines"):
-            cfm_engine_seconds = {
-                rec.name: rec.seconds for rec in cfm_report.engines
-            }
-    elif run_portfolio:
+    if run_portfolio:
         cfm = PortfolioChecker(
             sat_checker=SatSweepChecker(
                 conflict_limit=sat_conflict_limit,

@@ -12,7 +12,6 @@ from repro.cache.config import CacheConfig
 from repro.cache.counters import CacheCounters
 from repro.cache.fingerprint import MiterFingerprints
 from repro.cache.knowledge import BoundCache, CachedPair, SweepCache
-from repro.cache.sharding import ShardedProofStore
 from repro.cache.store import (
     EQUIVALENT,
     INCONCLUSIVE,
@@ -28,7 +27,6 @@ __all__ = [
     "BoundCache",
     "CachedPair",
     "SweepCache",
-    "ShardedProofStore",
     "ProofStore",
     "Verdict",
     "EQUIVALENT",

@@ -50,13 +50,6 @@ class CacheConfig:
         ``invalidated`` and treated as misses.  Disabling this is only
         safe when the cache directory is trusted and keyed circuits
         never see SDC-masked patterns.
-    shards:
-        Number of proof-store shards (``shardNN/`` subdirectories, each
-        with its own JSONL file and lock).  ``1`` keeps the classic
-        single-file layout; the serve daemon raises it so per-tenant
-        flushes and compactions stop contending on one lock.  The count
-        must stay constant for the lifetime of a cache directory —
-        routing is ``crc32(key) % shards``.
     """
 
     directory: Optional[str] = None
@@ -66,7 +59,6 @@ class CacheConfig:
     salt_words: int = 2
     tt_cone_limit: int = 512
     validate_cex: bool = True
-    shards: int = 1
 
     def validate(self) -> None:
         """Raise ``ValueError`` on inconsistent parameter combinations."""
@@ -83,5 +75,3 @@ class CacheConfig:
             raise ValueError("salt_words must be non-negative")
         if self.tt_cone_limit < 1:
             raise ValueError("tt_cone_limit must be positive")
-        if not 1 <= self.shards <= 64:
-            raise ValueError("shards must be in [1, 64]")

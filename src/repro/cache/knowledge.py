@@ -75,14 +75,7 @@ class SweepCache:
         self.config = config or CacheConfig()
         self.config.validate()
         if self.config.directory is not None:
-            if self.config.shards > 1:
-                from repro.cache.sharding import ShardedProofStore
-
-                self.store = ShardedProofStore.load(
-                    self.config.directory, self.config.shards
-                )
-            else:
-                self.store = ProofStore.load(self.config.directory)
+            self.store = ProofStore.load(self.config.directory)
         else:
             self.store = ProofStore()
         self.counters = CacheCounters()

@@ -265,7 +265,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         args.socket,
         workers=args.workers,
         cache_root=args.cache_root,
-        shards=args.shards,
         max_pending=args.max_pending,
         max_batch=args.max_batch,
         tenant_quota=args.tenant_quota,
@@ -481,11 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-root", metavar="DIR", default=None,
         help="root directory for per-tenant knowledge caches "
         "(omit to run workers with no knowledge cache at all)",
-    )
-    serve.add_argument(
-        "--shards", type=int, default=4,
-        help="proof-store shards per tenant (default: 4; keep constant "
-        "for the lifetime of the cache root)",
     )
     serve.add_argument("--max-pending", type=int, default=64)
     serve.add_argument("--max-batch", type=int, default=16)

@@ -11,9 +11,9 @@ jointly exhaustive sub-problems, and race them:
   by an exhaustiveness/disjointness property test);
 - :mod:`repro.cubes.runner` — the distributed race: cube jobs fan out
   across warm :class:`~repro.exec.runtime.ExecRuntime` workers as
-  cancellable siblings of the monolithic query, the first conclusive
-  winner (any-SAT, or UNSAT of the monolith, or UNSAT of *all* cubes)
-  cancels the rest through a :class:`~repro.exec.cancel.CancelGroup`;
+  siblings of the monolithic query; once a sibling is conclusive
+  (any-SAT, or UNSAT of the monolith, or UNSAT of *all* cubes) the
+  queued rest are dropped and the running ones stopped;
 - :mod:`repro.cubes.lane` — :func:`prove_pos_with_cubes`, the PO proof
   that races every non-constant PO and hands what stays open to the
   batched SAT backstop;

@@ -1,7 +1,7 @@
-"""The distributed cube race: cofactor jobs under first-winner cancel.
+"""The distributed cube race: cofactor jobs, first conclusive one wins.
 
 :class:`CubeRunner` turns one hard SAT query — "is any PO of this cone
-satisfiable?" — into a family of cancellable sibling jobs on a warm
+satisfiable?" — into a family of sibling jobs on a warm
 :class:`~repro.exec.runtime.ExecRuntime` worker pool: the monolithic
 query plus one cofactor job per cube.  The race settles the moment any
 sibling is conclusive for the whole query:
@@ -11,13 +11,12 @@ sibling is conclusive for the whole query:
 - the monolith proves UNSAT → **UNSAT**;
 - *every* cube proves UNSAT → **UNSAT** (the cubes are exhaustive).
 
-The winner cancels the rest through a
-:class:`~repro.exec.cancel.CancelGroup`: losers still queued on the
-:class:`~repro.exec.board.JobBoard` are revoked for free, losers already
-running are staged-killed (SIGTERM → SIGKILL) and their workers
-respawned lazily before the next race.  ``cubes.split`` counts fanned-out
-cube jobs, ``cubes.cancelled`` counts cancelled losers — the pair of
-counters ``tools/check_trace.py --require-cubes`` gates CI on.
+Once the race is settled the rest are dropped: losers still queued in
+the race's backlog are discarded, losers already running are
+staged-killed (SIGTERM → SIGKILL) and their workers respawned lazily
+before the next race.  ``cubes.split`` counts fanned-out cube jobs,
+``cubes.cancelled`` counts dropped losers — the pair of counters
+``tools/check_trace.py --require-cubes`` gates CI on.
 """
 
 from __future__ import annotations
@@ -25,8 +24,9 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Deque, Dict, List, Optional, Sequence
 
 from repro.aig.literals import CONST0, lit_is_const
 from repro.aig.network import Aig
@@ -38,13 +38,11 @@ from repro.cubes.split import Cube, cofactor, patch_pattern
 from repro.exec import (
     REASON_TIMEOUT,
     START_METHOD_ENV,
-    CancelGroup,
     ExecRuntime,
-    JobBoard,
     WorkerHandle,
 )
 
-#: Job label of the unsplit sibling in stats and flight events.
+#: Job label of the unsplit sibling in stats.
 MONOLITH = "monolith"
 
 
@@ -168,6 +166,7 @@ class CubeRunner:
         self._terminate_grace = terminate_grace
         self._runtime: Optional[ExecRuntime] = None
         self._workers: List[WorkerHandle] = []
+        self._next_job_id = 0
         self.races = 0
 
     # ------------------------------------------------------------------
@@ -188,8 +187,6 @@ class CubeRunner:
                 start_method=self._start_method,
                 trace=self._trace,
                 terminate_grace=self._terminate_grace,
-                flight=True,
-                flight_capacity=128,
             ).open()
             self._workers = [
                 WorkerHandle(index=i, name=f"cube-w{i}")
@@ -279,29 +276,25 @@ class CubeRunner:
         if deadline_epoch is not None:
             base["deadline_epoch"] = deadline_epoch
 
-        group = CancelGroup()
-        board = JobBoard()
         jobs: Dict[int, Dict] = {}
 
-        def _queue(job_id: int, label: str, payload: Dict) -> None:
-            token = group.new_token(label)
-            board.add(job_id, payload, token=token)
-            jobs[job_id] = {"label": label, "token": token, "status": ""}
+        def _queue(label: str, payload: Dict) -> None:
+            # Ids never repeat across this runner's races, so a result a
+            # stopped loser posted before its kill cannot settle a job
+            # of a later race.
+            job_id = self._next_job_id
+            self._next_job_id += 1
+            payload["job"] = job_id
+            jobs[job_id] = {"label": label, "payload": payload, "status": ""}
 
-        next_id = 0
         if include_monolith or not cubes:
-            payload = dict(base)
-            payload["meta"] = {"cube": MONOLITH}
-            _queue(next_id, MONOLITH, payload)
-            next_id += 1
+            _queue(MONOLITH, dict(base))
         for cube in cubes:
             payload = dict(base)
             payload["cube"] = cube.as_list()
-            payload["meta"] = {"cube": str(cube)}
             if cube_delay > 0.0:
                 payload["delay"] = cube_delay
-            _queue(next_id, str(cube), payload)
-            next_id += 1
+            _queue(str(cube), payload)
 
         stats: Dict = {
             "cubes": len(cubes),
@@ -318,9 +311,7 @@ class CubeRunner:
             cubes=len(cubes), jobs=len(jobs),
         ) as span:
             try:
-                outcome = self._race(
-                    runtime, board, group, jobs, stats, deadline
-                )
+                outcome = self._race(runtime, jobs, stats, deadline)
             finally:
                 stats["seconds"] = time.perf_counter() - start
                 span.set("winner", stats["winner"] or "-")
@@ -333,8 +324,6 @@ class CubeRunner:
     def _race(
         self,
         runtime: ExecRuntime,
-        board: JobBoard,
-        group: CancelGroup,
         jobs: Dict[int, Dict],
         stats: Dict,
         deadline: Optional[float],
@@ -346,6 +335,8 @@ class CubeRunner:
             entry["label"] == MONOLITH for entry in jobs.values()
         )
         pending = set(jobs)
+        # Job ids not yet handed to a worker, oldest first.
+        backlog: Deque[int] = deque(jobs)
         winner: Optional[CubeOutcome] = None
         unknown_seen = False
 
@@ -353,30 +344,27 @@ class CubeRunner:
             for worker in self._workers:
                 if worker.assigned or not worker.alive:
                     continue
-                job = board.take(worker.index)
-                if job is None:
-                    return
-                worker.assigned.append(job.job_id)
-                message = dict(job.payload)
-                message["job"] = job.job_id
                 try:
-                    worker.inbox.put(message)
+                    job_id = backlog.popleft()
+                except IndexError:
+                    return
+                worker.assigned.append(job_id)
+                try:
+                    worker.inbox.put(jobs[job_id]["payload"])
                 except (OSError, ValueError):
                     worker.assigned.clear()
-                    board.add(job.job_id, job.payload, token=job.token)
+                    backlog.appendleft(job_id)
 
-        def cancel_losers(winner_id: int, reason: str) -> None:
-            winner_token = jobs[winner_id]["token"]
-            group.cancel_rest(winner_token, reason=reason)
-            revoked = board.revoke_cancelled()
-            for job in revoked:
-                pending.discard(job.job_id)
-            stats["cancelled"] += len(revoked)
+        def drop_losers(winner_id: int) -> None:
+            """Discard the queued siblings and stop the running ones."""
+            stats["cancelled"] += len(backlog)
+            pending.difference_update(backlog)
+            backlog.clear()
             for worker in self._workers:
                 head = worker.assigned[0] if worker.assigned else None
                 if head is None or head == winner_id or head not in pending:
                     continue
-                runtime.stop(worker, reason)
+                runtime.stop(worker)
                 worker.assigned.clear()
                 pending.discard(head)
                 stats["cancelled"] += 1
@@ -406,7 +394,6 @@ class CubeRunner:
                             unknown_seen = True
                 dispatch()
                 continue
-            runtime.fold_flight(message)
             if message.get("kind") == "bye":
                 runtime.merge_trace(message)
                 continue
@@ -427,19 +414,19 @@ class CubeRunner:
             if status == "sat":
                 stats["winner"] = entry["label"]
                 winner = CubeOutcome("nonequivalent", cex=message.get("cex"))
-                cancel_losers(job_id, "cancelled")
+                drop_losers(job_id)
                 break
             if status == "unsat":
                 if entry["label"] == MONOLITH:
                     stats["winner"] = MONOLITH
                     winner = CubeOutcome("equivalent")
-                    cancel_losers(job_id, "cancelled")
+                    drop_losers(job_id)
                     break
                 stats["unsat_cubes"] += 1
                 if stats["unsat_cubes"] == num_cubes and num_cubes > 0:
                     stats["winner"] = "all-cubes"
                     winner = CubeOutcome("equivalent")
-                    cancel_losers(job_id, "cancelled")
+                    drop_losers(job_id)
                     break
             else:
                 # unknown / error: this sibling is dry, the race goes on.

@@ -7,18 +7,14 @@ merging, late-message spill drains.  The
 cube-and-conquer fan-out (ROADMAP item 3) would have forced a third
 copy.  ``repro.exec`` is the one implementation all three ride on:
 
-- :mod:`repro.exec.cancel` — cancellation tokens with normalised reason
-  strings ("timeout" vs "cancelled") and first-winner cancel groups;
 - :mod:`repro.exec.transport` — the pickled job/result transport:
   residues with their carried sweep state, queue-teardown spill files;
 - :mod:`repro.exec.worker` — the child-process entrypoint, in one-shot
   (racing portfolio engine) and loop-forever (warm serve/cube worker)
   modes, with SIGTERM→exception conversion and flight recording;
-- :mod:`repro.exec.runtime` — the parent side: spawn/stop/respawn,
-  bounded polling, trace merging and the late-message drain;
-- :mod:`repro.exec.board` — a parent-side work-stealing job backlog
-  (jobs commit to a worker only when it goes idle, so cancelling a
-  queued job never costs a kill).
+- :mod:`repro.exec.runtime` — the parent side: spawn/stop/respawn
+  (each stop records why: "timeout" or "cancelled"), bounded polling,
+  trace merging and the late-message drain.
 
 Policies (:class:`~repro.portfolio.parallel.ParallelPortfolioChecker`,
 :class:`~repro.serve.pool.WorkerPool`,
@@ -26,15 +22,9 @@ Policies (:class:`~repro.portfolio.parallel.ParallelPortfolioChecker`,
 score it; this layer owns *how* processes live and die.
 """
 
-from repro.exec.board import BoardJob, JobBoard
-from repro.exec.cancel import (
+from repro.exec.runtime import (
     REASON_CANCELLED,
     REASON_TIMEOUT,
-    CancelGroup,
-    CancelToken,
-    normalize_reason,
-)
-from repro.exec.runtime import (
     START_METHOD_ENV,
     ExecRuntime,
     WorkerHandle,
@@ -49,11 +39,7 @@ from repro.exec.transport import (
 from repro.exec.worker import WorkerContext, WorkerTerminated, exec_worker_main
 
 __all__ = [
-    "BoardJob",
-    "CancelGroup",
-    "CancelToken",
     "ExecRuntime",
-    "JobBoard",
     "REASON_CANCELLED",
     "REASON_TIMEOUT",
     "START_METHOD_ENV",
@@ -62,7 +48,6 @@ __all__ = [
     "WorkerTerminated",
     "collect_spilled_messages",
     "exec_worker_main",
-    "normalize_reason",
     "pack_residue",
     "post_message",
     "resolve_start_method",

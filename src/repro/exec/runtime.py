@@ -4,9 +4,9 @@
 
 - resolution of the multiprocessing start method
   (:func:`resolve_start_method`);
-- worker spawn in one-shot or loop mode, each with a
-  :class:`~repro.exec.cancel.CancelToken`, staged SIGTERM → SIGKILL
-  stops (:func:`stop_process_staged`), and warm respawn;
+- worker spawn in one-shot or loop mode, staged SIGTERM → SIGKILL
+  stops (:func:`stop_process_staged`) that record why a worker was
+  stopped, and warm respawn;
 - the result queue with bounded polling, worker-trace re-basing,
   per-worker flight rings, and the late-message / spill-file drain;
 - leak-free teardown: queue close, spill-dir removal.
@@ -30,13 +30,22 @@ from typing import Callable, Dict, List, Optional
 
 from repro.obs import FlightRecorder, get_tracer
 
-from repro.exec.cancel import CancelGroup, CancelToken
 from repro.exec.transport import collect_spilled_messages
 from repro.exec.worker import exec_worker_main
 
 #: Environment variable overriding the multiprocessing start method
 #: (used by CI to run the suite under ``spawn``).
 START_METHOD_ENV = "REPRO_MP_START_METHOD"
+
+#: Stop reason: a sibling produced the answer first.
+REASON_CANCELLED = "cancelled"
+#: Stop reason: a wall-clock budget (per-engine or global) expired.
+REASON_TIMEOUT = "timeout"
+
+#: Events kept per parent-side flight ring (a worker's own ring keeps
+#: :data:`~repro.exec.worker.WORKER_FLIGHT_CAPACITY`).
+FLIGHT_CAPACITY = 256
+
 
 def resolve_start_method(requested: Optional[str] = None) -> str:
     """Pick the multiprocessing start method for a pool.
@@ -100,7 +109,9 @@ class WorkerHandle:
     process: Optional["mp.process.BaseProcess"] = None
     #: Loop-mode job inbox (``None`` for one-shot workers).
     inbox: Optional["mp.Queue"] = None
-    token: Optional[CancelToken] = None
+    #: Why the current process was stopped (:data:`REASON_TIMEOUT` or
+    #: :data:`REASON_CANCELLED`); "" while it has not been.
+    stop_reason: str = ""
     spill_path: Optional[str] = None
     mode: str = "oneshot"
     #: Monotonic spawn time.
@@ -135,7 +146,7 @@ class ExecRuntime:
     spill:
         Give each one-shot worker a spill file for results that can no
         longer reach the queue (parent torn down mid-grace).
-    flight / flight_capacity:
+    flight:
         Run per-worker flight recorders: a ring in each worker process
         (shipped incrementally on results) plus a parent-side ring per
         worker index that folds worker events in with parent milestones.
@@ -148,7 +159,6 @@ class ExecRuntime:
         terminate_grace: float = 1.0,
         spill: bool = False,
         flight: bool = False,
-        flight_capacity: int = 256,
     ) -> None:
         self.context = mp.get_context(resolve_start_method(start_method))
         self.start_method = resolve_start_method(start_method)
@@ -156,7 +166,6 @@ class ExecRuntime:
         self.terminate_grace = terminate_grace
         self.spill = spill
         self.flight = flight
-        self.flight_capacity = flight_capacity
         self.result_queue: Optional["mp.Queue"] = None
         self.spill_dir: Optional[str] = None
         self._flight: Dict[int, FlightRecorder] = {}
@@ -200,7 +209,6 @@ class ExecRuntime:
             "trace_name": trace_name,
             "spill_path": handle.spill_path,
             "flight": self.flight,
-            "flight_capacity": min(self.flight_capacity, 128),
         }
 
     def spawn(
@@ -210,7 +218,6 @@ class ExecRuntime:
         payload: Optional[Dict] = None,
         mode: str = "oneshot",
         trace_name: str = "",
-        group: Optional[CancelGroup] = None,
         start: bool = True,
     ) -> WorkerHandle:
         """Spawn a worker onto ``handle`` (one-shot job or warm loop).
@@ -219,13 +226,10 @@ class ExecRuntime:
         ``(payload, ctx) -> message`` (picklable under ``spawn``).  In
         one-shot mode ``payload`` is the single job; in loop mode the
         worker reads jobs from a fresh ``handle.inbox`` queue until the
-        ``None`` sentinel.  Every spawn mints a fresh
-        :class:`CancelToken` (joined to ``group`` when given).
+        ``None`` sentinel.  Every spawn clears ``handle.stop_reason``.
         """
         handle.mode = mode
-        handle.token = CancelToken(handle.name or f"w{handle.index}")
-        if group is not None:
-            group.add(handle.token)
+        handle.stop_reason = ""
         if self.spill_dir is not None:
             handle.spill_path = os.path.join(
                 self.spill_dir, f"worker{handle.index}.msg"
@@ -255,38 +259,41 @@ class ExecRuntime:
             handle.started = time.monotonic()
         return handle
 
-    def stop(self, handle: WorkerHandle, reason: Optional[str] = None) -> str:
-        """Cancel a worker's token and staged-stop its process.
+    def stop(self, handle: WorkerHandle, reason: str = REASON_CANCELLED) -> str:
+        """Record why a worker is stopped and staged-stop its process.
 
-        Returns the canonical reason recorded on the token ("timeout" or
-        "cancelled") — the string policies surface on run records and
+        ``reason`` is :data:`REASON_TIMEOUT` or :data:`REASON_CANCELLED`.
+        The first reason since the last spawn sticks: a worker killed
+        for a timeout and then swept up by a winner still reads
+        "timeout".  Returns the recorded reason — the string policies
+        surface on run records and
         :class:`~repro.sweep.report.EngineFailure.reason`.
         """
-        recorded = ""
-        if handle.token is not None:
-            recorded = handle.token.cancel(reason)
+        if reason not in (REASON_TIMEOUT, REASON_CANCELLED):
+            raise ValueError(f"unknown stop reason {reason!r}")
+        if not handle.stop_reason:
+            handle.stop_reason = reason
         if handle.process is not None:
             stop_process_staged(
                 handle.process,
                 self.terminate_grace,
                 engine=handle.name or f"w{handle.index}",
             )
-        return recorded
+        return handle.stop_reason
 
     def respawn(
         self,
         handle: WorkerHandle,
         handler: Callable,
         trace_name: str = "",
-        reason: Optional[str] = None,
     ) -> WorkerHandle:
         """Stop a loop worker and restart it fresh on the same handle.
 
         The respawn starts warm at the policy layer (it reloads merged
-        caches from disk); here it just gets a fresh inbox, token,
-        process and parent-side flight ring.
+        caches from disk); here it just gets a fresh inbox, process and
+        parent-side flight ring.
         """
-        self.stop(handle, reason)
+        self.stop(handle)
         if handle.inbox is not None:
             handle.inbox.close()
             handle.inbox.cancel_join_thread()
@@ -323,7 +330,7 @@ class ExecRuntime:
         """The parent-side flight ring for one worker index."""
         ring = self._flight.get(index)
         if ring is None:
-            ring = FlightRecorder(capacity=self.flight_capacity)
+            ring = FlightRecorder(capacity=FLIGHT_CAPACITY)
             self._flight[index] = ring
         return ring
 

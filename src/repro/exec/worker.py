@@ -42,6 +42,10 @@ from repro.obs import (
 
 from repro.exec.transport import post_message
 
+#: Events kept in a loop worker's own flight ring (shipped to the
+#: parent's ring on every result).
+WORKER_FLIGHT_CAPACITY = 128
+
 
 class WorkerTerminated(BaseException):
     """Raised inside a worker when the parent's SIGTERM lands.
@@ -99,8 +103,8 @@ def exec_worker_main(
     ``mp.Queue`` of payloads in loop mode.  ``cfg`` keys: ``trace``
     (record a span timeline), ``trace_name`` (tracer process name,
     defaults to ``worker:{index}``), ``spill_path`` (where a one-shot result
-    goes if the queue is already torn down), ``flight``/
-    ``flight_capacity`` (loop mode: per-worker flight recorder).
+    goes if the queue is already torn down), ``flight`` (loop mode:
+    per-worker flight recorder).
     """
     tracer: Optional[Tracer] = None
     if mode == "oneshot" and cfg.get("trace"):
@@ -165,7 +169,7 @@ def _run_loop(
     recorder: Optional[FlightRecorder] = None
     flight_handler = None
     if cfg.get("flight"):
-        recorder = FlightRecorder(capacity=cfg.get("flight_capacity", 128))
+        recorder = FlightRecorder(capacity=WORKER_FLIGHT_CAPACITY)
         ctx.recorder = recorder
         flight_handler = FlightRecorderHandler(recorder)
         get_logger().addHandler(flight_handler)

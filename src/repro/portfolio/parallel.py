@@ -14,8 +14,8 @@ how to score their messages into a
 and the residue hand-off to a finisher engine after a global timeout.
 Crash surfacing is structural: a worker exception or abnormal exit
 becomes an :class:`~repro.sweep.report.EngineFailure` on the report
-(with the kill reason, "timeout" vs "cancelled", normalised through the
-runtime's cancellation tokens), and the run raises
+(with the kill reason, "timeout" or "cancelled", as the runtime's stop
+recorded it), and the run raises
 :class:`PortfolioError` only when *every* engine fails.
 
 Engines are named specs so they pickle cleanly:
@@ -46,10 +46,10 @@ from repro.cache.config import CacheConfig
 from repro.cache.counters import CacheCounters
 from repro.cache.knowledge import SweepCache
 from repro.exec import (
+    REASON_CANCELLED,
     REASON_TIMEOUT,
     ExecRuntime,
     WorkerHandle,
-    normalize_reason,
 )
 from repro.exec import (  # noqa: F401  (re-exported compat surface)
     START_METHOD_ENV,
@@ -437,14 +437,14 @@ class ParallelPortfolioChecker:
                 self._reap_workers(workers)
 
             if verdict is not None:
-                self._cancel_remaining(workers, "cancelled")
+                self._cancel_remaining(workers, REASON_CANCELLED)
                 report.winner = self.winner
                 report.total_seconds = time.monotonic() - started_at
                 verdict.report = report
                 return verdict
 
             self._cancel_remaining(
-                workers, "timeout" if timed_out else "cancelled"
+                workers, REASON_TIMEOUT if timed_out else REASON_CANCELLED
             )
 
             failures = [
@@ -554,8 +554,7 @@ class ParallelPortfolioChecker:
                 message["status"] == "error"
                 and record is not None
                 and record.failure is None
-                and state.token is not None
-                and state.token.cancelled
+                and state.stop_reason
             ):
                 # A late error is the engine's own crash: a cancelled
                 # worker either dies of the SIGTERM or posts
@@ -567,7 +566,7 @@ class ParallelPortfolioChecker:
                     engine=state.name,
                     message=message.get("message", ""),
                     traceback=message.get("traceback", ""),
-                    reason=state.token.reason,
+                    reason=state.stop_reason,
                 )
             return None
         state.done = True
@@ -584,11 +583,7 @@ class ParallelPortfolioChecker:
                 engine=state.name,
                 message=message["message"],
                 traceback=message.get("traceback", ""),
-                reason=(
-                    state.token.reason
-                    if state.token is not None and state.token.cancelled
-                    else ""
-                ),
+                reason=state.stop_reason,
             )
             return None
         if status == "undecided":
@@ -623,7 +618,7 @@ class ParallelPortfolioChecker:
             if state.done:
                 continue
             if state.deadline is not None and now >= state.deadline:
-                reason = self._stop_worker(state, REASON_TIMEOUT)
+                reason = self._runtime.stop(state, REASON_TIMEOUT)
                 state.done = True
                 state.record.status = reason
                 state.record.seconds = now - state.started
@@ -641,12 +636,7 @@ class ParallelPortfolioChecker:
                         engine=state.name,
                         message="worker exited without reporting a result",
                         exit_code=state.process.exitcode,
-                        reason=(
-                            state.token.reason
-                            if state.token is not None
-                            and state.token.cancelled
-                            else ""
-                        ),
+                        reason=state.stop_reason,
                     )
 
     def _cancel_remaining(
@@ -654,28 +644,18 @@ class ParallelPortfolioChecker:
     ) -> None:
         """Stop every still-running worker and record the reason why.
 
-        ``status`` is normalised through each worker's cancellation
-        token, so records (and any :class:`EngineFailure` attached to a
-        late crash) always read one of the canonical "timeout" /
-        "cancelled" strings.
+        A worker keeps the first reason it was stopped for, so records
+        (and any :class:`EngineFailure` attached to a late crash) always
+        read exactly "timeout" or "cancelled".
         """
         now = time.monotonic()
         for state in workers:
             if state.done:
                 continue
-            reason = self._stop_worker(state, status)
+            reason = self._runtime.stop(state, status)
             state.done = True
             state.record.status = reason
             state.record.seconds = now - state.started
-
-    def _stop_worker(self, state: _WorkerState, reason: str) -> str:
-        """Cancel-and-stop one worker; returns the canonical reason."""
-        runtime = self._runtime
-        if runtime is not None:
-            return runtime.stop(state, reason)
-        if state.token is not None:
-            return state.token.cancel(reason)
-        return normalize_reason(reason)
 
     def _run_finisher(
         self,

@@ -12,8 +12,8 @@ dominate.  ``repro.serve`` amortises them:
 - :mod:`repro.serve.pool` — persistent worker processes that keep
   per-tenant knowledge caches hot across queries, fed miters pickled on
   their inbox queues;
-- :mod:`repro.serve.tenants` — per-tenant cache namespaces backed by
-  sharded proof stores (:mod:`repro.cache.sharding`);
+- :mod:`repro.serve.tenants` — per-tenant cache namespaces, one proof
+  store each;
 - :mod:`repro.serve.admission` — bounded queues, ``busy`` backpressure,
   and draining graceful shutdown;
 - :mod:`repro.serve.client` — the blocking :class:`ServeClient` library

@@ -10,11 +10,10 @@ into the tenant caches and persist — exactly the parent-merges
 ownership model of the parallel portfolio.
 
 Process lifecycle, flight rings and queue plumbing live in
-:mod:`repro.exec`; this module is the serving *policy*.  Jobs queue on
-a parent-side work-stealing :class:`~repro.exec.board.JobBoard` and
-commit to a worker's inbox only when it goes idle, so an idle worker
-steals backlog from a busy sibling and a cancelled queued job (an
-expired deadline) costs a list removal, never a kill.  A
+:mod:`repro.exec`; this module is the serving *policy*.  Jobs wait in
+one parent-side FIFO backlog and commit to a worker's inbox only when
+it goes idle: the first idle worker, in index order, takes the oldest
+job, and a queued job whose deadline expires settles without a kill.  A
 worker that crashes or blows its per-job deadline is stopped with the
 staged SIGTERM → SIGKILL machinery and respawned; the respawn starts
 *warm* because it reloads the merged tenant caches from disk.  The
@@ -32,13 +31,19 @@ import json
 import os
 import tempfile
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.aig.network import Aig
 from repro.cache.config import CacheConfig
 from repro.cache.knowledge import SweepCache
-from repro.exec import CancelToken, ExecRuntime, JobBoard, WorkerHandle
+from repro.exec import (
+    REASON_CANCELLED,
+    REASON_TIMEOUT,
+    ExecRuntime,
+    WorkerHandle,
+)
 from repro.obs import MetricsRegistry, ResourceSampler, get_tracer
 from repro.portfolio.parallel import build_checker
 from repro.serve.tenants import DEFAULT_TENANT, TenantManager
@@ -104,20 +109,15 @@ class ServeResult:
 
 
 def _load_worker_cache(
-    caches: Dict[Tuple[str, int], SweepCache],
-    spec: Optional[Tuple[str, int]],
+    caches: Dict[str, SweepCache], directory: Optional[str]
 ) -> Optional[SweepCache]:
     """The worker-resident readonly cache for one tenant (lazy-loaded)."""
-    if spec is None:
+    if directory is None:
         return None
-    directory, shards = str(spec[0]), int(spec[1])
-    key = (directory, shards)
-    cached = caches.get(key)
+    cached = caches.get(directory)
     if cached is None:
-        cached = SweepCache(
-            CacheConfig(directory=directory, readonly=True, shards=shards)
-        )
-        caches[key] = cached
+        cached = SweepCache(CacheConfig(directory=directory, readonly=True))
+        caches[directory] = cached
     return cached
 
 
@@ -134,9 +134,7 @@ def run_serve_job(message: Dict, ctx) -> Dict:
     cost the pool a warm worker.
     """
     resident = ctx.resident
-    caches: Dict[Tuple[str, int], SweepCache] = resident.setdefault(
-        "caches", {}
-    )
+    caches: Dict[str, SweepCache] = resident.setdefault("caches", {})
     miter = message["miter"]
     spec = tuple(message["spec"])
     cache = _load_worker_cache(caches, message.get("cache"))
@@ -174,11 +172,10 @@ class _Inflight:
     """One submitted-but-unresolved job."""
 
     job: ServeJob
-    #: Worker index once dispatched off the board (-1 while queued).
+    #: Worker index once dispatched (-1 while queued).
     worker: int
     submitted: float
     deadline_at: Optional[float]
-    token: Optional[CancelToken] = None
 
 
 class WorkerPool:
@@ -206,14 +203,11 @@ class WorkerPool:
         Directory for flight-recorder postmortem JSON artifacts, written
         whenever a worker is staged-killed for a crash or deadline.
         ``None`` disables the dumps (the in-memory rings still run).
-    sample_interval:
-        Seconds between resource-sampler ticks (worker RSS/CPU
-        histograms); ``0`` disables the sampler thread.
     """
 
     _POLL_INTERVAL = 0.05
-    #: Flight-ring capacity per worker (parent side).
-    _FLIGHT_CAPACITY = 256
+    #: Seconds between resource-sampler ticks (worker RSS/CPU histograms).
+    _SAMPLE_INTERVAL = 0.5
     #: How many recent postmortem paths `stats()` reports.
     _POSTMORTEM_STATS = 8
 
@@ -227,7 +221,6 @@ class WorkerPool:
         trace: bool = False,
         slo: Optional[Any] = None,
         postmortem_dir: Optional[str] = None,
-        sample_interval: float = 0.5,
     ) -> None:
         if workers < 1:
             raise ValueError("need at least one worker")
@@ -247,9 +240,13 @@ class WorkerPool:
         )
         self.slo = slo
         self.postmortem_dir = postmortem_dir
-        self.sample_interval = sample_interval
         self._runtime: Optional[ExecRuntime] = None
-        self._board = JobBoard()
+        #: ``(job id, payload)`` waiting for an idle worker, oldest
+        #: first.  ``submit`` appends on the server's event loop while
+        #: ``poll`` dispatches on its pump thread, so it is only ever
+        #: appended to and popped from (both atomic), never checked and
+        #: then popped.
+        self._backlog: Deque[Tuple[int, Dict]] = deque()
         self._workers: List[WorkerHandle] = []
         self._inflight: Dict[int, _Inflight] = {}
         self._results: Dict[int, ServeResult] = {}
@@ -274,7 +271,6 @@ class WorkerPool:
             trace=self.trace,
             terminate_grace=self.terminate_grace,
             flight=True,
-            flight_capacity=self._FLIGHT_CAPACITY,
         ).open()
         for index in range(self.num_workers):
             handle = WorkerHandle(index=index, name=f"serve-w{index}")
@@ -285,14 +281,13 @@ class WorkerPool:
                 trace_name=f"worker:serve{index}",
             )
             self._workers.append(handle)
-        if self.sample_interval > 0:
-            self._sampler = ResourceSampler(
-                self._worker_pids,
-                self.metrics,
-                prefix="serve.worker",
-                interval=self.sample_interval,
-            )
-            self._sampler.start()
+        self._sampler = ResourceSampler(
+            self._worker_pids,
+            self.metrics,
+            prefix="serve.worker",
+            interval=self._SAMPLE_INTERVAL,
+        )
+        self._sampler.start()
         self._draining = False
         self.started = True
 
@@ -341,20 +336,15 @@ class WorkerPool:
     # ------------------------------------------------------------------
 
     def submit(self, job: ServeJob) -> int:
-        """Board one job (affinity: least-loaded worker); returns its id.
+        """Queue one job; returns its id.
 
-        The job is dispatched immediately when any worker is idle;
-        otherwise it waits on the board, from which the next worker to
-        go idle — not necessarily the affinity one — will claim it.
+        The job is dispatched at once when a worker is idle; otherwise
+        it waits in the backlog for the next worker to go idle.
         """
         if not self.started:
             self.start()
         job_id = self._next_job_id
         self._next_job_id += 1
-        worker = min(
-            self._workers,
-            key=lambda w: len(w.assigned) + self._board.queued_for(w.index),
-        )
         payload: Dict[str, object] = {
             "job": job_id,
             "miter": job.miter,
@@ -363,7 +353,6 @@ class WorkerPool:
             "meta": {"tenant": job.tenant, "engine": job.engine},
         }
         deadline = job.deadline if job.deadline is not None else self.job_deadline
-        token = CancelToken(f"job{job_id}")
         self._inflight[job_id] = _Inflight(
             job=job,
             worker=-1,
@@ -371,23 +360,14 @@ class WorkerPool:
             deadline_at=(
                 time.monotonic() + deadline if deadline is not None else None
             ),
-            token=token,
         )
-        self._board.add(job_id, payload, token=token, affinity=worker.index)
+        self._backlog.append((job_id, payload))
         self.metrics.counter_add("serve.jobs_submitted")
-        self._runtime.flight_ring(worker.index).record(
-            "job",
-            "submitted",
-            job=job_id,
-            tenant=job.tenant,
-            engine=job.engine,
-            name=job.name or None,
-        )
         self._dispatch()
         return job_id
 
     def _dispatch(self) -> None:
-        """Commit board jobs to idle workers (own queue, then steal)."""
+        """Hand the oldest queued jobs to idle workers, in index order."""
         for worker in self._workers:
             self._dispatch_worker(worker)
 
@@ -395,16 +375,25 @@ class WorkerPool:
         if worker.assigned or not worker.alive or worker.inbox is None:
             return
         while True:
-            board_job = self._board.take(worker.index)
-            if board_job is None:
-                return
-            entry = self._inflight.get(board_job.job_id)
-            if entry is None:
-                continue  # already settled (deadline expiry raced it)
-            entry.worker = worker.index
-            worker.assigned.append(board_job.job_id)
             try:
-                worker.inbox.put(board_job.payload)
+                job_id, payload = self._backlog.popleft()
+            except IndexError:
+                return
+            entry = self._inflight.get(job_id)
+            if entry is None:
+                continue  # settled while queued (its deadline expired)
+            entry.worker = worker.index
+            worker.assigned.append(job_id)
+            self._runtime.flight_ring(worker.index).record(
+                "job",
+                "dispatched",
+                job=job_id,
+                tenant=entry.job.tenant,
+                engine=entry.job.engine,
+                name=entry.job.name or None,
+            )
+            try:
+                worker.inbox.put(payload)
             except BaseException:
                 pass  # dying worker: the dead-worker reap settles it
             return
@@ -491,8 +480,6 @@ class WorkerPool:
         deadline_miss: bool = False,
     ) -> ServeResult:
         """Resolve one job as an error result (kill, crash, expiry)."""
-        if entry.token is not None:
-            entry.token.cancel(reason)
         result = ServeResult(
             job_id=job_id,
             name=entry.job.name,
@@ -601,11 +588,14 @@ class WorkerPool:
     ) -> None:
         """Replace a dead worker in place (same index, fresh process)."""
         self._write_postmortem(worker, reason, failed or [])
-        self._runtime.stop(worker, reason)
+        self._runtime.stop(
+            worker,
+            REASON_TIMEOUT if reason == "deadline" else REASON_CANCELLED,
+        )
         # Persist merged knowledge first so the replacement loads it and
         # comes up warm, not cold.  (The runtime respawn gives it a
-        # fresh inbox, token, process and flight ring — the old ring is
-        # in the postmortem, or gone with nothing to tell.)
+        # fresh inbox, process and flight ring — the old ring is in the
+        # postmortem, or gone with nothing to tell.)
         self.tenants.flush()
         self._runtime.respawn(
             worker,
@@ -637,8 +627,8 @@ class WorkerPool:
             )
             completed.extend(failed)
             self._respawn(worker, reason="deadline", failed=failed)
-        # Jobs whose deadline expired while still queued on the board
-        # settle for free: cancel the token, no worker to kill.
+        # Jobs whose deadline expired while still queued settle without
+        # a kill: no worker has them, and dispatch skips settled ids.
         for job_id, entry in list(self._inflight.items()):
             if (
                 entry.worker >= 0
@@ -656,7 +646,6 @@ class WorkerPool:
                     deadline_miss=True,
                 )
             )
-        self._board.revoke_cancelled()
         return completed
 
     def _reap_dead_workers(self) -> List[ServeResult]:
@@ -722,7 +711,7 @@ class WorkerPool:
         return {
             "workers": self.num_workers,
             "inflight": len(self._inflight),
-            "board": len(self._board),
+            "queued": len(self._backlog),
             "jobs_done": sum(w.jobs_done for w in self._workers),
             "respawns": sum(w.respawns for w in self._workers),
             "jobs_submitted": int(
@@ -740,8 +729,6 @@ class WorkerPool:
                     "index": w.index,
                     "pid": w.pid,
                     "alive": w.alive,
-                    "queued": len(w.assigned)
-                    + self._board.queued_for(w.index),
                     "assigned": len(w.assigned),
                     "jobs_done": w.jobs_done,
                     "respawns": w.respawns,

@@ -67,10 +67,8 @@ class CecServer:
     workers:
         Size of the persistent worker pool.
     cache_root:
-        Root directory for per-tenant knowledge caches (None → caches
-        are in-memory only; workers respawn cold).
-    shards:
-        Proof-store shard count per tenant.
+        Root directory for per-tenant knowledge caches (None → no
+        knowledge cache: workers check every job cold).
     max_pending / max_batch:
         Admission bounds (see :class:`AdmissionController`).
     job_deadline:
@@ -98,7 +96,6 @@ class CecServer:
         socket_path: str,
         workers: int = 2,
         cache_root: Optional[str] = None,
-        shards: int = 4,
         max_pending: int = 64,
         max_batch: int = 16,
         tenant_quota: Optional[int] = None,
@@ -113,7 +110,7 @@ class CecServer:
         self.trace = trace
         if trace and not get_tracer().enabled:
             set_tracer(Tracer(process_name="cec-serve"))
-        self.tenants = TenantManager(cache_root, shards=shards)
+        self.tenants = TenantManager(cache_root)
         self.admission = AdmissionController(
             max_pending=max_pending,
             max_batch=max_batch,

@@ -1,10 +1,10 @@
 """Multi-tenant cache namespaces for the serve daemon.
 
 Every tenant gets its own subdirectory of the daemon's cache root, with
-a sharded proof store inside (:class:`~repro.cache.sharding.ShardedProofStore`):
-knowledge never leaks between tenants, per-tenant flushes take
-per-shard locks instead of one global one, and a tenant can be wiped by
-removing one directory.
+one proof store inside (``<root>/<tenant>/proofs.jsonl``): knowledge
+never leaks between tenants, and a tenant can be wiped by removing one
+directory.  Without a root there is no knowledge cache at all: workers
+get no cache and check every job cold.
 
 Ownership mirrors the portfolio's parent/worker split: the daemon (this
 manager) holds the only *writable* cache per tenant; workers load
@@ -54,16 +54,13 @@ class TenantManager:
     ----------
     root:
         Cache root directory; each tenant lives in ``<root>/<tenant>/``.
-        ``None`` disables persistence entirely — caches are in-memory
-        only and workers start cold after every respawn.
-    shards:
-        Proof-store shard count used for every tenant (must stay
-        constant for the lifetime of ``root``).
+        ``None`` runs without a knowledge cache: :meth:`worker_config`
+        gives workers none, so nothing is looked up, proved into a
+        store or persisted.
     """
 
-    def __init__(self, root: Optional[str], shards: int = 4) -> None:
+    def __init__(self, root: Optional[str]) -> None:
         self.root = root
-        self.shards = int(shards)
         self._caches: Dict[str, SweepCache] = {}
 
     # ------------------------------------------------------------------
@@ -81,26 +78,19 @@ class TenantManager:
         cached = self._caches.get(tenant)
         if cached is not None:
             return cached
-        directory = self.directory(tenant)
-        config = CacheConfig(
-            directory=directory,
-            shards=self.shards if directory is not None else 1,
-        )
-        cache = SweepCache(config)
+        cache = SweepCache(CacheConfig(directory=self.directory(tenant)))
         self._caches[tenant] = cache
         return cache
 
-    def worker_config(self, tenant: str) -> Optional[Tuple[str, int]]:
-        """Picklable ``(directory, shards)`` for a worker-side snapshot.
+    def worker_config(self, tenant: str) -> Optional[str]:
+        """The cache directory a worker loads its read-only snapshot from.
 
-        Workers rebuild a read-only :class:`SweepCache` from this —
-        shipping the tuple instead of the cache object keeps spawn-safe
+        Workers rebuild a read-only :class:`SweepCache` from it —
+        shipping the path instead of the cache object keeps spawn-safe
         pickling trivial and lets workers (re)load lazily per tenant.
+        ``None`` when the daemon runs without a cache root.
         """
-        directory = self.directory(tenant)
-        if directory is None:
-            return None
-        return directory, self.shards
+        return self.directory(tenant)
 
     # ------------------------------------------------------------------
 

@@ -155,8 +155,7 @@ class EngineFailure:
     #: Canonical kill reason when the orchestrator stopped this worker
     #: before (or while) it failed: ``"timeout"`` (budget/deadline) or
     #: ``"cancelled"`` (another engine won); empty for organic crashes.
-    #: Always one of the :mod:`repro.exec.cancel` canonical strings —
-    #: normalised through the worker's cancellation token.
+    #: It is the worker's :attr:`~repro.exec.runtime.WorkerHandle.stop_reason`.
     reason: str = ""
 
     def __str__(self) -> str:

@@ -433,83 +433,6 @@ def test_cache_config_validation():
     CacheConfig().validate()
 
 
-# ---------------------------------------------------------------------------
-# Sharded proof stores
-# ---------------------------------------------------------------------------
-
-
-def test_sharded_store_routing_is_stable(tmp_path):
-    from repro.cache import ShardedProofStore
-
-    store = ShardedProofStore.load(str(tmp_path), 4)
-    keys = [f"key-{i}" for i in range(64)]
-    placement = {key: store.shard_index(key) for key in keys}
-    reloaded = ShardedProofStore.load(str(tmp_path), 4)
-    assert placement == {key: reloaded.shard_index(key) for key in keys}
-    assert set(placement.values()) == set(range(4))  # all shards used
-
-
-def test_sharded_store_round_trip(tmp_path):
-    from repro.cache import ShardedProofStore
-    from repro.cache.sharding import shard_name
-
-    store = ShardedProofStore.load(str(tmp_path), 3)
-    for i in range(24):
-        assert store.put(f"key-{i}", Verdict(status=EQUIVALENT, num_pis=i))
-    assert len(store.pending) == 24
-    assert store.append_pending(str(tmp_path)) == 24
-    assert not store.pending
-    # Each shard persisted under its own subdirectory.
-    populated = [
-        name for name in sorted(os.listdir(str(tmp_path)))
-        if name.startswith("shard")
-    ]
-    assert populated == [shard_name(i) for i in range(3)]
-    reloaded = ShardedProofStore.load(str(tmp_path), 3)
-    assert len(reloaded) == 24
-    assert reloaded.get("key-7").num_pis == 7
-
-
-def test_sharded_store_clear_pending_keeps_entries(tmp_path):
-    from repro.cache import ShardedProofStore
-
-    store = ShardedProofStore.load(str(tmp_path), 2)
-    store.put("a", Verdict(status=EQUIVALENT))
-    store.clear_pending()
-    assert not store.pending
-    assert store.get("a") is not None
-
-
-def test_sharded_store_shard_count_bounds(tmp_path):
-    from repro.cache import ShardedProofStore
-
-    with pytest.raises(ValueError):
-        ShardedProofStore.load(str(tmp_path), 0)
-    with pytest.raises(ValueError):
-        ShardedProofStore.load(str(tmp_path), 65)
-
-
-def test_sweep_cache_with_shards_persists(tmp_path):
-    cache = SweepCache(CacheConfig(directory=str(tmp_path), shards=2))
-    miter = _wide_miter()
-    engine = SimSweepEngine(EngineConfig(), cache=cache)
-    assert engine.check_miter(miter).status is CecStatus.EQUIVALENT
-    cache.flush()
-
-    warm = SweepCache(CacheConfig(directory=str(tmp_path), shards=2))
-    assert len(warm.store) == len(cache.store) > 0
-    engine2 = SimSweepEngine(EngineConfig(), cache=warm)
-    assert engine2.check_miter(miter).status is CecStatus.EQUIVALENT
-    assert warm.counters.hits > 0
-
-
-def test_cache_config_rejects_bad_shard_count():
-    with pytest.raises(ValueError):
-        CacheConfig(shards=0).validate()
-    with pytest.raises(ValueError):
-        CacheConfig(shards=65).validate()
-
-
 def test_proof_store_clear_pending_keeps_entries():
     store = ProofStore()
     store.put("k", Verdict(status=EQUIVALENT))

@@ -158,7 +158,7 @@ def test_runner_kills_busy_losers_after_first_winner():
     with CubeRunner(num_workers=3, terminate_grace=0.2) as runner:
         # Cubes park for 30 s before solving; the (undelayed) monolith
         # proves UNSAT immediately and must cancel all four cubes:
-        # queued ones revoked off the board, busy ones killed.
+        # queued ones dropped from the backlog, busy ones killed.
         start = time.perf_counter()
         outcome = runner.solve(
             miter, cubes, conflict_limit=100_000, cube_delay=30.0
@@ -178,6 +178,24 @@ def test_runner_kills_busy_losers_after_first_winner():
         assert outcome.status == "equivalent"
         assert all(w.alive for w in runner._workers)
     assert _shm_segments() == 0
+
+
+def test_runner_ignores_a_result_left_over_from_an_earlier_race():
+    """A loser stopped just after posting its result leaves that message
+    on the queue; it must not settle a job of the next race."""
+    original = random_aig(num_pis=6, num_nodes=50, num_pos=2, seed=21)
+    miter = build_miter(original, compress2(original))
+    cubes = enumerate_cubes(choose_split_pis(miter, 2))
+    with CubeRunner(num_workers=1) as runner:
+        first = runner.solve(miter, cubes, conflict_limit=100_000)
+        assert first.status == "equivalent"
+        # A late "sat" for the first race's cube job 1.
+        runner._runtime.result_queue.put({
+            "kind": "result", "job": 1, "index": 0,
+            "status": "sat", "cex": [0] * miter.num_pis,
+        })
+        second = runner.solve(miter, cubes, conflict_limit=100_000)
+    assert second.status == "equivalent"
 
 
 def test_runner_deadline_returns_unknown():

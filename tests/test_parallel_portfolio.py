@@ -144,16 +144,14 @@ def test_late_crash_of_a_cancelled_worker_reads_failed():
     """A crash read after the winner cancelled its worker still reads
     ``failed``: a cancelled worker dies of the SIGTERM or posts
     ``terminated``, so a late ``error`` is the engine's own crash."""
-    from repro.exec import CancelToken
     from repro.portfolio.parallel import _WorkerState
     from repro.sweep.report import EngineRunRecord
 
     checker = ParallelPortfolioChecker(engines=[("crash", {})])
-    token = CancelToken("crash")
-    token.cancel("cancelled")
     record = EngineRunRecord(name="crash", status="cancelled")
     state = _WorkerState(
-        index=0, name="crash", record=record, token=token, done=True
+        index=0, name="crash", record=record, stop_reason="cancelled",
+        done=True,
     )
     checker._record_message(state, {
         "index": 0,

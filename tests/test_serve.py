@@ -204,7 +204,7 @@ def test_tenant_name_validation():
 
 
 def test_tenant_isolation_and_merge(tmp_path):
-    manager = TenantManager(str(tmp_path), shards=2)
+    manager = TenantManager(str(tmp_path))
     taken = manager.merge_delta(
         "team-a", [("key1", Verdict(status="equivalent"))]
     )
@@ -215,9 +215,12 @@ def test_tenant_isolation_and_merge(tmp_path):
     # Knowledge stays in its namespace.
     assert manager.cache("team-a").store.get("key2") is None
     assert manager.cache("team-b").store.get("key2") is not None
-    directory, shards = manager.worker_config("team-a")
-    assert directory == str(tmp_path / "team-a")
-    assert shards == 2
+    assert manager.worker_config("team-a") == str(tmp_path / "team-a")
+    # A fresh manager on the same root reads what was flushed.
+    reopened = TenantManager(str(tmp_path))
+    assert reopened.cache("team-a").store.get("key1") is not None
+    assert reopened.cache("team-b").store.get("key2") is not None
+    assert reopened.cache("team-a").store.get("key2") is None
 
 
 def test_tenant_manager_without_root_is_memory_only():
@@ -339,6 +342,67 @@ def test_pool_deadline_kill_respawns_warm(tmp_path):
     finally:
         pool.shutdown()
     assert healthy.status == "equivalent"
+
+
+def _sleep_job(seconds, **fields):
+    return ServeJob(
+        miter=_equivalent_miter(5),
+        engine="sleep",
+        engine_kwargs={"seconds": seconds},
+        **fields,
+    )
+
+
+def test_pool_queued_job_past_deadline_settles_without_a_kill():
+    """A job whose deadline expires while it waits behind a busy worker
+    settles as a deadline error without reaching, or killing, a worker."""
+    pool = WorkerPool(workers=1)
+    try:
+        busy = pool.submit(_sleep_job(0.5))
+        queued = pool.submit(_sleep_job(0.0, deadline=0.1))
+        results = {}
+        deadline = time.monotonic() + 30
+        while busy not in results and time.monotonic() < deadline:
+            for done in pool.poll(0.05):
+                results[done.job_id] = done
+        stats = pool.stats()
+    finally:
+        pool.shutdown()
+    expired = results[queued]
+    assert expired.status == "error"
+    assert expired.error == "job deadline exceeded"
+    assert expired.worker == -1
+    # Settled while the worker still ran the first job.
+    assert expired.latency < results[busy].latency
+    assert results[busy].status == "undecided"
+    assert results[busy].worker == 0
+    assert stats["deadline_kills"] == 0
+    assert stats["respawns"] == 0
+    # The worker never received the expired job: once its first job
+    # finished it had nothing assigned.
+    assert stats["per_worker"][0]["assigned"] == 0
+    assert stats["per_worker"][0]["jobs_done"] == 1
+
+
+def test_pool_backlog_is_dispatched_oldest_first():
+    """Jobs queued behind busy workers go out in submission order, to
+    whichever worker goes idle first."""
+    pool = WorkerPool(workers=2)
+    try:
+        pool.submit(_sleep_job(0.2))  # worker 0, goes idle first
+        pool.submit(_sleep_job(60.0))  # worker 1, busy throughout
+        backlog = [pool.submit(_sleep_job(0.0)) for _ in range(4)]
+        served = []
+        deadline = time.monotonic() + 30
+        while len(served) < len(backlog) and time.monotonic() < deadline:
+            served.extend(
+                (done.job_id, done.worker)
+                for done in pool.poll(0.05)
+                if done.job_id in backlog
+            )
+    finally:
+        pool.shutdown(drain=False, timeout=0.5)
+    assert served == [(job_id, 0) for job_id in backlog]
 
 
 def test_pool_shutdown_leaves_no_segments(tmp_path):
