@@ -20,17 +20,17 @@ INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
 
 PINNED = {
     "voter21": (
-        "voter21.aag", "voter21_compress2.aag", "equivalent", 20288, 64676,
+        "voter21.aag", "voter21_compress2.aag", "equivalent", 20314, 64676,
         [("P", 0, 0, 0), ("G", 143, 143, 0), ("L", 24, 15, 0)],
     ),
     "voter21_mut": (
         "voter21.aag", "voter21_compress2_mut.aag", "nonequivalent",
-        38285, 70472,
+        38303, 70472,
         [("P", 0, 0, 0), ("G", 143, 143, 0), ("L", 23, 14, 0),
          ("L", 8, 0, 0)],
     ),
     "adder11": (
-        "adder11.aag", "adder11_compress2.aag", "equivalent", 4136, 68518,
+        "adder11.aag", "adder11_compress2.aag", "equivalent", 4134, 68518,
         [("P", 5, 5, 0), ("G", 11, 11, 0), ("L", 30, 26, 0),
          ("L", 4, 4, 0)],
     ),
