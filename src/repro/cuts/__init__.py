@@ -1,6 +1,7 @@
 """Priority-cut generation for local function checking (§III-C).
 
-- :mod:`repro.cuts.cut` — cut representation and metrics;
+- :mod:`repro.cuts.cut` — cut representation: sorted tuples at the API
+  boundary, leaf-rank bitmasks inside enumeration;
 - :mod:`repro.cuts.selection` — the Table I criteria passes and the
   similarity metric used for non-representative nodes;
 - :mod:`repro.cuts.enumeration` — cut enumeration (Eq. 1) with priority
@@ -9,7 +10,7 @@
   bounded common-cut buffer of Algorithm 2.
 """
 
-from repro.cuts.cut import Cut, cut_metrics
+from repro.cuts.cut import Cut
 from repro.cuts.selection import (
     PASS_CRITERIA,
     CutSelector,
@@ -25,7 +26,6 @@ __all__ = [
     "CutEnumerator",
     "CutSelector",
     "common_cuts",
-    "cut_metrics",
     "enumeration_levels",
     "similarity",
 ]

@@ -1,47 +1,52 @@
 """Cut representation.
 
 A cut of a node ``n`` is a set of nodes such that every path from a PI to
-``n`` passes through the set (§II-A).  Cuts are stored as sorted tuples of
-node ids — hashable (for dedup), ordered (truth-table variable order is
-increasing node id, §III-B1) and cheap to merge.
+``n`` passes through the set (§II-A).  At the API boundary (priority cuts,
+common cuts, windows) a cut is a sorted tuple of node ids: hashable,
+ordered (truth-table variable order is increasing node id, §III-B1).
+
+Inside enumeration and selection a cut is a *leaf-rank mask*: the
+distinct leaves in play at one node are sorted by node id into a
+ranking, leaf ``i`` of the ranking is bit ``i``, and a cut is the
+integer with its leaves' bits set.  Union is ``|``, intersection ``&``
+and size a popcount, and the masks are only as wide as the leaves in
+play at that node, never as wide as the largest node id.  Because ranks
+follow node ids, comparing two masks compares the cuts' leaves from the
+largest id down, the order of ``cut[::-1]``.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
-
-import numpy as np
+from itertools import compress
+from typing import Dict, Iterable, List, Tuple
 
 #: A cut: sorted tuple of node ids.
 Cut = Tuple[int, ...]
 
+#: ``_BITS[i] == 1 << i``, enough for the leaves in play at one node
+#: under the paper's parameters (at most ``2 * (C + 1) * k_l``); a
+#: longer ranking builds its own.
+_BITS: List[int] = [1 << i for i in range(256)]
 
-def merge_cuts(u: Cut, v: Cut) -> Cut:
-    """Sorted union of two cuts."""
-    if u == v:
-        return u
-    return tuple(sorted(set(u) | set(v)))
+#: Turns the ``0``/``1`` digits of ``bin(mask)`` into 0/1 bytes.
+_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def cut_metrics(cut: Cut, fanout_counts, levels) -> Tuple[float, int, float]:
-    """Return the (avg_fanout, size, avg_level) metric triple of §III-C1.
+def rank_leaves(leaves: Iterable[int]) -> Tuple[List[int], Dict[int, int]]:
+    """Rank distinct leaves by node id: ``(ranking, bit of each leaf)``."""
+    ranking = sorted(leaves)
+    bits = _BITS
+    if len(ranking) > len(bits):
+        bits = [1 << i for i in range(len(ranking))]
+    return ranking, dict(zip(ranking, bits))
 
-    - *avg_fanout*: average fanout count of the cut nodes; large values
-      mark good cut points (highly observed signals);
-    - *size*: cut cardinality; small cuts keep enumeration bounded and
-      pull more reconvergence inside the cone (fewer SDCs);
-    - *avg_level*: average node level; low levels widen the cone, high
-      levels shrink the cut.
 
-    ``fanout_counts``/``levels`` may be any indexable sequence; hot
-    callers pass plain lists (see :class:`repro.cuts.selection.CutSelector`).
-    """
-    size = len(cut)
-    if size == 0:
-        return 0.0, 0, 0.0
-    total_fanout = 0
-    total_level = 0
-    for node in cut:
-        total_fanout += fanout_counts[node]
-        total_level += levels[node]
-    return total_fanout / size, size, total_level / size
+def cut_mask(cut: Cut, bit: Dict[int, int]) -> int:
+    """Leaf-rank mask of a cut whose leaves are all ranked in ``bit``."""
+    return sum(map(bit.__getitem__, cut))
+
+
+def mask_leaves(mask: int, ranking: List[int]) -> Cut:
+    """The sorted leaf tuple of a leaf-rank mask over ``ranking``."""
+    digits = bin(mask)[:1:-1].encode().translate(_DIGITS)
+    return tuple(compress(ranking, digits))

@@ -8,6 +8,12 @@ and the priority cuts ``P(n)`` are the best ``C`` candidates under the
 active :class:`~repro.cuts.selection.CutSelector`.  PIs get their trivial
 cut as the sole priority cut.
 
+Each node ranks the distinct leaves of its two fanins' choice sets by
+node id and works on leaf-rank masks over that ranking
+(:mod:`repro.cuts.cut`): a union is ``|``, its packed weight the fanins'
+weights added less their intersection's, and only the ``C`` cuts kept
+become sorted tuples again.
+
 Enumeration is scheduled by *enumeration levels* rather than plain
 topological levels: a non-representative node additionally depends on its
 class representative (Eq. 2), because similarity-driven selection needs
@@ -21,8 +27,8 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.aig.network import Aig
-from repro.cuts.cut import Cut
-from repro.cuts.selection import CutSelector
+from repro.cuts.cut import Cut, mask_leaves, rank_leaves
+from repro.cuts.selection import CutSelector, reference_masks
 
 
 def enumeration_levels(aig: Aig, repr_of: Dict[int, int]) -> np.ndarray:
@@ -79,8 +85,12 @@ class CutEnumerator:
         self.num_priority = num_priority
         self.selector = selector
         self._priority: List[List[Cut]] = [[] for _ in range(aig.num_nodes)]
+        #: Packed weights of ``_priority`` (see :class:`CutSelector`).
+        self._weights: List[List[int]] = [[] for _ in range(aig.num_nodes)]
+        weights = selector.weights
         for pi in aig.pis():
             self._priority[pi] = [(pi,)]
+            self._weights[pi] = [weights[pi]]
         #: Candidate cuts produced by Eq. 1 merges across the whole run
         #: (before priority selection) — the work metric of enumeration.
         self.expansions = 0
@@ -110,9 +120,12 @@ class CutEnumerator:
         """
         levels = enumeration_levels(self.aig, repr_of)
         if only is not None:
-            and_nodes = np.asarray(
-                sorted(n for n in only if self.aig.is_and(n)), dtype=np.int64
-            )
+            and_nodes = np.fromiter(only, dtype=np.int64, count=len(only))
+            and_nodes.sort()
+            and_nodes = and_nodes[
+                (and_nodes >= self.aig.first_and)
+                & (and_nodes < self.aig.num_nodes)
+            ]
         else:
             and_nodes = np.arange(self.aig.first_and, self.aig.num_nodes)
         if and_nodes.size == 0:
@@ -120,57 +133,91 @@ class CutEnumerator:
         order = np.argsort(levels[and_nodes], kind="stable")
         sorted_nodes = and_nodes[order]
         sorted_levels = levels[and_nodes][order]
-        start = 0
-        while start < sorted_nodes.size:
-            level = int(sorted_levels[start])
-            end = start
-            while end < sorted_nodes.size and sorted_levels[end] == level:
-                end += 1
-            batch = [int(n) for n in sorted_nodes[start:end]]
+        bounds = np.flatnonzero(np.diff(sorted_levels)) + 1
+        starts = [0] + bounds.tolist()
+        ends = bounds.tolist() + [sorted_nodes.size]
+        for start, end in zip(starts, ends):
+            batch = sorted_nodes[start:end].tolist()
             for node in batch:
-                reference = None
                 repr_node = repr_of.get(node, node)
-                if repr_node != node and repr_node != 0:
-                    reference = self._priority[repr_node]
-                self._priority[node] = self._enumerate_node(node, reference)
-            yield level, batch
-            start = end
+                self._enumerate_node(
+                    node,
+                    self._priority[repr_node]
+                    if repr_node != node and repr_node != 0
+                    else None,
+                )
+            yield int(sorted_levels[start]), batch
 
     # ------------------------------------------------------------------
 
     def _enumerate_node(
         self, node: int, reference: Optional[List[Cut]]
-    ) -> List[Cut]:
+    ) -> None:
         f0l, f1l = self.aig.fanin_lists()
-        f0, f1 = f0l[node], f1l[node]
-        candidates = _merge_cut_sets(
-            self._cut_choices(f0 >> 1),
-            self._cut_choices(f1 >> 1),
-            self.k_l,
-        )
-        self.expansions += len(candidates)
-        if not candidates:
-            return []
-        return self.selector.select(candidates, self.num_priority, reference)
+        a, b = f0l[node] >> 1, f1l[node] >> 1
+        priority, weights = self._priority, self.selector.weights
+        side_a = {a}.union(*priority[a])
+        side_b = {b}.union(*priority[b])
+        ranking, bit = rank_leaves((side_a | side_b) - {0})
+        masks_a, weights_a = self._choices(a, bit)
+        masks_b, weights_b = self._choices(b, bit)
+        # Eq. 1 unions.  A union's weight is the two weights less the
+        # weight of their intersection, which only leaves on both sides
+        # can make up.
+        if side_a.isdisjoint(side_b):
+            candidates = {
+                u | v: wu + wv
+                for u, wu in zip(masks_a, weights_a)
+                for v, wv in zip(masks_b, weights_b)
+            }
+        else:
+            common = _MaskWeights(list(map(weights.__getitem__, ranking)))
+            candidates = {
+                u | v: wu + wv - common[u & v]
+                for u, wu in zip(masks_a, weights_a)
+                for v, wv in zip(masks_b, weights_b)
+            }
+        refs = None
+        if reference is not None:
+            refs = reference_masks(reference, bit)
+        ranked = self.selector.rank(candidates, self.k_l, refs)
+        self.expansions += len(ranked)
+        del ranked[self.num_priority:]
+        priority[node] = [mask_leaves(key[-2], ranking) for key in ranked]
+        self._weights[node] = [key[-1] for key in ranked]
 
-    def _cut_choices(self, node: int) -> List[Cut]:
-        """``P(node) ∪ {{node}}`` — the ``u``/``v`` domain of Eq. 1."""
+    def _choices(
+        self, node: int, bit: Dict[int, int]
+    ) -> Tuple[List[int], List[int]]:
+        """``P(node) ∪ {{node}}`` as masks and weights — the ``u``/``v``
+        domain of Eq. 1."""
         if node == 0:
             # The constant node never occurs as a fanin of a strashed AND,
             # but stay safe: its only cut is empty.
-            return [()]
-        return self._priority[node] + [(node,)]
+            return [0], [0]
+        get = bit.__getitem__
+        masks = [sum(map(get, cut)) for cut in self._priority[node]]
+        masks.append(bit[node])
+        return masks, self._weights[node] + [self.selector.weights[node]]
 
 
-def _merge_cut_sets(
-    cuts_a: List[Cut], cuts_b: List[Cut], k_l: int
-) -> List[Cut]:
-    """All pairwise unions of two cut families, bounded by ``k_l``."""
-    result = set()
-    for u in cuts_a:
-        u_set = set(u)
-        for v in cuts_b:
-            union = u_set | set(v)
-            if len(union) <= k_l:
-                result.add(tuple(sorted(union)))
-    return list(result)
+class _MaskWeights(dict):
+    """Packed weights of leaf-rank masks, each computed on first use
+    from the ranked leaves' weights."""
+
+    __slots__ = ("rank_weights",)
+
+    def __init__(self, rank_weights: List[int]) -> None:
+        super().__init__()
+        self.rank_weights = rank_weights
+        self[0] = 0
+
+    def __missing__(self, mask: int) -> int:
+        total = 0
+        rest = mask
+        while rest:
+            low = rest & -rest
+            total += self.rank_weights[low.bit_length() - 1]
+            rest ^= low
+        self[mask] = total
+        return total

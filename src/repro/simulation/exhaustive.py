@@ -43,7 +43,7 @@ from repro.simulation.bitops import (
     projection_segment,
 )
 from repro.simulation.cex import CounterExample
-from repro.simulation.window import Pair, Window, window_local_levels
+from repro.simulation.window import Pair, Window
 
 
 class PairStatus(enum.Enum):
@@ -318,46 +318,101 @@ class _FlatBatch:
     laid out contiguously in decreasing ``tt_words`` order so that the
     active set of any round is a prefix, and evaluation plans can be
     cached per prefix length.
+
+    The layout is built with NumPy over the concatenated windows: a
+    member's slot is found by ``searchsorted`` on the sorted keys
+    ``window * num_nodes + node``, the window-local levels of all
+    windows come from one relaxation over their fanin slots, and a
+    plan's per-level and per-input-position groups are stable
+    ``argsort`` splits.
     """
 
     def __init__(self, aig: Aig, windows: Sequence[Window]) -> None:
         self.aig = aig
         self.windows = list(windows)
-        self.pairs: List[Pair] = []
+        self.pairs: List[Pair] = [p for w in self.windows for p in w.pairs]
+        self.num_pairs = len(self.pairs)
         self._plan_cache: Dict[int, _Plan] = {}
 
-        slot = 1  # slot 0 = constant zero
-        self._input_slots: List[Dict[int, int]] = []
-        self._node_slots: List[Dict[int, int]] = []
-        pair_window: List[int] = []
-        pair_slot_a: List[int] = []
-        pair_slot_b: List[int] = []
-        pair_flip: List[bool] = []
-        for w_idx, window in enumerate(self.windows):
-            in_slots = {node: slot + i for i, node in enumerate(window.inputs)}
-            slot += len(window.inputs)
-            nd_slots = {
-                int(node): slot + i for i, node in enumerate(window.nodes)
-            }
-            slot += len(window.nodes)
-            self._input_slots.append(in_slots)
-            self._node_slots.append(nd_slots)
-            for pair in window.pairs:
-                pair_window.append(w_idx)
-                pair_slot_a.append(self._slot_of(w_idx, pair.lit_a >> 1))
-                pair_slot_b.append(self._slot_of(w_idx, pair.lit_b >> 1))
-                pair_flip.append(bool((pair.lit_a ^ pair.lit_b) & 1))
-                self.pairs.append(pair)
-        self.num_slots = slot
-        self.num_pairs = len(self.pairs)
-        self.pair_window = np.asarray(pair_window, dtype=np.int64)
-        self.pair_slot_a = np.asarray(pair_slot_a, dtype=np.int64)
-        self.pair_slot_b = np.asarray(pair_slot_b, dtype=np.int64)
-        self.pair_flip = np.asarray(pair_flip, dtype=bool)
-        self.window_tt = np.asarray(
-            [w.tt_words for w in self.windows], dtype=np.int64
+        count = len(self.windows)
+        n_in = np.fromiter(
+            (len(w.inputs) for w in self.windows), np.int64, count
         )
-        self.window_rounds = np.ones(len(self.windows), dtype=np.int64)
+        n_nd = np.fromiter(
+            (len(w.nodes) for w in self.windows), np.int64, count
+        )
+        sizes = n_in + n_nd
+        first_slot = np.cumsum(sizes) - sizes + 1
+        self.num_slots = 1 + int(sizes.sum())
+        self._inputs_end = np.cumsum(n_in)
+        self._nodes_end = np.cumsum(n_nd)
+        window_ids = np.arange(count, dtype=np.int64)
+
+        inputs = np.fromiter(
+            (node for w in self.windows for node in w.inputs),
+            np.int64,
+            int(self._inputs_end[-1]) if count else 0,
+        )
+        nodes = (
+            np.concatenate([w.nodes for w in self.windows]).astype(np.int64)
+            if count
+            else np.zeros(0, dtype=np.int64)
+        )
+        input_window = np.repeat(window_ids, n_in)
+        node_window = np.repeat(window_ids, n_nd)
+        #: Position of each input entry within its window's inputs.
+        self.input_position = np.arange(inputs.size) - np.repeat(
+            self._inputs_end - n_in, n_in
+        )
+        self.input_slot = first_slot[input_window] + self.input_position
+        self.node_slot = (
+            (first_slot + n_in)[node_window]
+            + np.arange(nodes.size)
+            - np.repeat(self._nodes_end - n_nd, n_nd)
+        )
+
+        # Inputs come first, so a stable sort finds a node's input slot
+        # before any node slot it also has.
+        num_nodes = aig.num_nodes
+        keys = np.concatenate(
+            [
+                input_window * num_nodes + inputs,
+                node_window * num_nodes + nodes,
+            ]
+        )
+        order = np.argsort(keys, kind="stable")
+        self._keys = keys[order]
+        self._key_slots = np.concatenate([self.input_slot, self.node_slot])[
+            order
+        ]
+
+        fanin0, fanin1 = aig.fanin_literals()
+        f0 = fanin0[nodes - aig.first_and]
+        f1 = fanin1[nodes - aig.first_and]
+        self.fanin0_slot = self._slot_of(node_window, f0 >> 1)
+        self.fanin1_slot = self._slot_of(node_window, f1 >> 1)
+        self.fanin0_mask = (f0 & 1).astype(np.uint64) * FULL_WORD
+        self.fanin1_mask = (f1 & 1).astype(np.uint64) * FULL_WORD
+        #: Window-local level of each node entry (inputs at level 0).
+        self.node_level = self._local_levels()
+
+        self.pair_window = np.repeat(
+            window_ids,
+            np.fromiter((len(w.pairs) for w in self.windows), np.int64, count),
+        )
+        lit_a = np.fromiter(
+            (p.lit_a for p in self.pairs), np.int64, self.num_pairs
+        )
+        lit_b = np.fromiter(
+            (p.lit_b for p in self.pairs), np.int64, self.num_pairs
+        )
+        self.pair_slot_a = self._slot_of(self.pair_window, lit_a >> 1)
+        self.pair_slot_b = self._slot_of(self.pair_window, lit_b >> 1)
+        self.pair_flip = ((lit_a ^ lit_b) & 1).astype(bool)
+        self.window_tt = np.fromiter(
+            (w.tt_words for w in self.windows), np.int64, count
+        )
+        self.window_rounds = np.ones(count, dtype=np.int64)
 
     def active_window_count(self, round_index: int, entry: int) -> int:
         """Number of leading windows still needing simulation in a round."""
@@ -370,62 +425,83 @@ class _FlatBatch:
         cached = self._plan_cache.get(active)
         if cached is not None:
             return cached
-        input_groups: Dict[int, List[int]] = {}
-        per_level: Dict[int, List[Tuple[int, int, int, int, int]]] = {}
-        num_and_slots = 0
-        for w_idx in range(active):
-            window = self.windows[w_idx]
-            for position, node in enumerate(window.inputs):
-                input_groups.setdefault(position, []).append(
-                    self._input_slots[w_idx][node]
-                )
-            levels = window_local_levels(self.aig, window)
-            num_and_slots += len(window.nodes)
-            f0l, f1l = self.aig.fanin_lists()
-            for node, level in zip(window.nodes.tolist(), levels.tolist()):
-                f0 = f0l[node]
-                f1 = f1l[node]
-                per_level.setdefault(level, []).append(
-                    (
-                        self._node_slots[w_idx][node],
-                        self._slot_of(w_idx, f0 >> 1),
-                        f0 & 1,
-                        self._slot_of(w_idx, f1 >> 1),
-                        f1 & 1,
-                    )
-                )
-        levels_arrays = []
-        for level in sorted(per_level):
-            entries = per_level[level]
-            tgt = np.asarray([e[0] for e in entries], dtype=np.int64)
-            s0 = np.asarray([e[1] for e in entries], dtype=np.int64)
-            m0 = (
-                np.asarray([e[2] for e in entries], dtype=np.uint64) * FULL_WORD
-            )[:, None]
-            s1 = np.asarray([e[3] for e in entries], dtype=np.int64)
-            m1 = (
-                np.asarray([e[4] for e in entries], dtype=np.uint64) * FULL_WORD
-            )[:, None]
-            levels_arrays.append((tgt, s0, m0, s1, m1))
+        num_inputs = int(self._inputs_end[active - 1])
+        num_ands = int(self._nodes_end[active - 1])
+        # Positions and window-local levels both run 0, 1, 2, … without
+        # gaps, so the i-th run is position i (level i + 1).
+        positions = self.input_position[:num_inputs]
+        order = np.argsort(positions, kind="stable")
+        input_groups = {
+            position: slots
+            for position, (slots,) in enumerate(
+                _split_runs(positions[order], self.input_slot[order])
+            )
+        }
+        level = self.node_level[:num_ands]
+        order = np.argsort(level, kind="stable")
+        groups = _split_runs(
+            level[order],
+            self.node_slot[order],
+            self.fanin0_slot[order],
+            self.fanin0_mask[order][:, None],
+            self.fanin1_slot[order],
+            self.fanin1_mask[order][:, None],
+        )
         plan = _Plan(
-            input_groups={
-                pos: np.asarray(slots, dtype=np.int64)
-                for pos, slots in input_groups.items()
-            },
-            levels=levels_arrays,
-            num_and_slots=num_and_slots,
+            input_groups=input_groups,
+            levels=groups,
+            num_and_slots=num_ands,
         )
         self._plan_cache[active] = plan
         return plan
 
-    def _slot_of(self, w_idx: int, var: int) -> int:
-        if var == 0:
-            return 0
-        slot = self._input_slots[w_idx].get(var)
-        if slot is None:
-            slot = self._node_slots[w_idx].get(var)
-        if slot is None:
-            raise ValueError(
-                f"literal node {var} is neither an input nor a member of window {w_idx}"
+    def _slot_of(self, window: np.ndarray, var: np.ndarray) -> np.ndarray:
+        """Slots of nodes ``var`` in windows ``window`` (0 for the
+        constant node)."""
+        num_nodes = self.aig.num_nodes
+        query = window * num_nodes + var
+        found = np.zeros(query.size, dtype=bool)
+        slots = np.zeros(query.size, dtype=np.int64)
+        if self._keys.size:
+            index = np.minimum(
+                np.searchsorted(self._keys, query), self._keys.size - 1
             )
-        return slot
+            # An id past the network would alias the next window's keys.
+            found = (
+                (self._keys[index] == query) & (var > 0) & (var < num_nodes)
+            )
+            slots = np.where(found, self._key_slots[index], 0)
+        missing = ~found & (var != 0)
+        if missing.any():
+            i = int(np.argmax(missing))
+            raise ValueError(
+                f"literal node {int(var[i])} is neither an input nor a "
+                f"member of window {int(window[i])}"
+            )
+        return slots
+
+    def _local_levels(self) -> np.ndarray:
+        """Window-local levels by relaxation: every node one above its
+        deeper fanin, repeated until no level changes (window depth
+        rounds), with inputs and the constant pinned at zero."""
+        level = np.zeros(self.num_slots, dtype=np.int64)
+        node_level = level[self.node_slot]
+        while node_level.size:
+            new = (
+                np.maximum(level[self.fanin0_slot], level[self.fanin1_slot])
+                + 1
+            )
+            if np.array_equal(new, node_level):
+                break
+            node_level = new
+            level[self.node_slot] = new
+        return node_level
+
+
+def _split_runs(sorted_keys: np.ndarray, *arrays: np.ndarray) -> list:
+    """Split ``arrays`` (ordered like ``sorted_keys``) at every change of
+    key: one tuple of array slices per run of equal keys."""
+    if sorted_keys.size == 0:
+        return []
+    bounds = np.flatnonzero(np.diff(sorted_keys)) + 1
+    return list(zip(*(np.split(array, bounds) for array in arrays)))
