@@ -31,15 +31,20 @@ def collect_cone(aig: Aig, roots: Iterable[int], stop: Iterable[int] = ()) -> Li
     included when they are AND nodes not in ``stop``.
     """
     stop_set = set(stop)
+    f0l, f1l = aig.fanin_lists()
+    first_and, num_nodes = aig.first_and, aig.num_nodes
     seen: Set[int] = set()
     stack = [r for r in roots if r not in stop_set]
     while stack:
         node = stack.pop()
-        if node in seen or node in stop_set or not aig.is_and(node):
+        if (
+            node in seen
+            or node in stop_set
+            or not first_and <= node < num_nodes
+        ):
             continue
         seen.add(node)
-        f0, f1 = aig.fanins(node)
-        for fanin in ((f0 >> 1), (f1 >> 1)):
+        for fanin in (f0l[node] >> 1, f1l[node] >> 1):
             if fanin not in seen and fanin not in stop_set:
                 stack.append(fanin)
     return sorted(seen)

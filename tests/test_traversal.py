@@ -103,3 +103,38 @@ def test_level_batches_partition_and_order():
 def test_level_batches_empty():
     aig = random_aig(seed=7)
     assert level_batches(aig, []) == []
+
+
+def _brute_cone(aig, roots, stop):
+    """AND nodes reachable backwards from ``roots`` without entering
+    ``stop``, by one descending sweep over fanouts (no DFS)."""
+    stop = set(stop)
+    in_cone = [False] * aig.num_nodes
+    for root in roots:
+        if 0 <= root < aig.num_nodes:
+            in_cone[root] = True
+    for node in range(aig.num_nodes - 1, -1, -1):
+        if not in_cone[node] or node in stop or not aig.is_and(node):
+            in_cone[node] = False
+            continue
+        for fanin in aig.fanins(node):
+            in_cone[fanin >> 1] = True
+    return [n for n in range(aig.num_nodes) if in_cone[n]]
+
+
+def test_collect_cone_matches_brute_force_on_random_aigs():
+    rng = np.random.default_rng(23)
+    for seed in range(12):
+        aig = random_aig(num_pis=5, num_nodes=50, seed=400 + seed)
+        ands = list(aig.ands())
+        for _ in range(6):
+            roots = rng.choice(ands, size=3, replace=False).tolist()
+            # PI, constant and out-of-range roots contribute nothing.
+            roots += [0, 1, aig.num_nodes, aig.num_nodes + 7, -1]
+            stop = rng.choice(
+                aig.num_nodes, size=int(rng.integers(0, 6)), replace=False
+            ).tolist()
+            for stop_set in ([], stop):
+                assert collect_cone(aig, roots, stop_set) == _brute_cone(
+                    aig, roots, stop_set
+                ), (seed, roots, stop_set)
